@@ -386,7 +386,10 @@ def load_field(path) -> ComplexField:
     parts = lines[1].split()
     if len(parts) != 3:
         raise FormatError(f"{path}:2: expected 'n dt t_start'")
-    n = int(parts[0])
+    try:
+        n = int(parts[0])
+    except ValueError:
+        raise FormatError(f"{path}:2: sample count is not an integer: {parts[0]!r}") from None
     grid = SampleGrid(n, _parse_float(parts[1], path, 2), _parse_float(parts[2], path, 2))
     rows = [ln for ln in lines[2:] if ln.strip()]
     if len(rows) != n:

@@ -25,6 +25,27 @@ variable is zero padded by a factor 2 to suppress circular aliasing. Its
 p axis therefore has step ``dw/4`` and every point ``(tau/2, omega/2)``
 of the spectrogram comparison lies on Wigner grid nodes whenever
 ``t_start`` is on the sample lattice.
+
+Lag-window kernel
+-----------------
+FROG, overlap and Wigner rows all come from one product builder: each
+row is ``a[i + j] * b[i' + j]`` over a window of two zero-padded
+operands, read through strided views, so the zero padding supplies the
+zero fill outside the grid and no index arrays are built. FROG and
+overlap rows are ``E(t) E(t - tau)`` and ``E*(t) E(t - tau)``. Wigner row
+``h`` holds ``F(h - 2k) F*(h + 2k)`` on the refined samples ``F``; split
+by the parity of ``h``, both factors become contiguous windows of
+``F[p::2]`` (the first one reversed). Rows are transformed in blocks
+sized to stay in cache, with scaling, fftshift and normalization done in
+place (Claasen & Mecklenbraeuker, Philips J. Res. 35, 1980, for the
+discrete lag-kernel form).
+
+The correspondence check evaluates only the Wigner nodes it reads, the
+q rows at ``tau/2`` and the p columns at ``omega/2``. Those are every
+second p node, which is the n-point transform of the lag sequence folded
+mod n. That takes half the products and a quarter of the FFT points of
+the full map. Its imaginary-residue check covers these nodes, relative
+to their peak.
 """
 
 from __future__ import annotations
@@ -52,6 +73,10 @@ __all__ = [
 # Imaginary residue above this fraction of the map peak means the Wigner
 # evaluation went numerically wrong rather than just accumulating roundoff.
 IMAG_RESIDUE_LIMIT = 1e-10
+
+# The lag-product -> FFT -> scaling pipeline runs over row blocks of about
+# this many complex cells, so a block and its transform stay in L2 cache.
+BLOCK_CELLS = 1 << 16
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -166,7 +191,7 @@ class OverlapMap:
             raise ConfigError(
                 f"values shape {v.shape} does not match axes ({dts.size}, {dnus.size})"
             )
-        if not np.all(np.isfinite(v.view(np.float64))):
+        if not np.all(np.isfinite(v)):
             raise ConfigError("overlap values must be finite")
         object.__setattr__(self, "dt_axis", _freeze(dts))
         object.__setattr__(self, "dnu_axis", _freeze(dnus))
@@ -185,16 +210,59 @@ def _check_half_nyquist(field: ComplexField, what: str):
         )
 
 
-def _shifted_products(E: np.ndarray, steps) -> np.ndarray:
-    """Rows of E(t) * E(t - s*dt) with zero fill outside the grid."""
+def _windows(v: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
+    """Rows ``v[starts[i] : starts[i] + width]`` of a 1D array.
+
+    A strided view when the starts step uniformly (every lattice of rows
+    and delays the transforms build), a gathered copy otherwise.
+    """
+    win = np.lib.stride_tricks.sliding_window_view(v, width)
+    m = starts.size
+    step = int(starts[1] - starts[0]) if m > 1 else 1
+    if not np.array_equal(starts, starts[0] + step * np.arange(m)):
+        return win[starts]
+    if step == 0:
+        return np.broadcast_to(win[starts[0]], (m, width))
+    return win[starts[0] :: step][:m]
+
+
+def _lag_products(a: np.ndarray, b: np.ndarray, a_starts, b_starts, width: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Lag-window products ``a[a_starts[i] + j] * b[b_starts[i] + j]``, j < width.
+
+    The one product builder behind FROG, overlap and Wigner rows; zero
+    padding of the operands supplies the zero fill outside the grid.
+    """
+    return np.multiply(_windows(a, width, np.asarray(a_starts)),
+                       _windows(b, width, np.asarray(b_starts)), out=out)
+
+
+def _zero_pad(v: np.ndarray, m: int) -> np.ndarray:
+    """``v`` with ``m`` zeros on each side."""
+    out = np.zeros(v.size + 2 * m, dtype=np.complex128)
+    out[m : m + v.size] = v
+    return out
+
+
+def _shifted_products(a: np.ndarray, E: np.ndarray, steps,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``a(t) * E(t - s*dt)`` with zero fill outside the grid."""
     n = E.size
-    P = np.zeros((len(steps), n), dtype=np.complex128)
-    for i, s in enumerate(steps):
-        if s >= 0:
-            P[i, s:] = E[s:] * E[: n - s]
-        else:
-            P[i, : n + s] = E[: n + s] * E[-s:]
-    return P
+    steps = np.asarray(steps, dtype=np.intp)
+    return _lag_products(a, _zero_pad(E, n - 1), np.zeros_like(steps), n - 1 - steps, n,
+                         out=out)
+
+
+def _row_blocks(nrows: int, width: int):
+    """``(lo, hi)`` row ranges of about ``BLOCK_CELLS`` cells each, largest first."""
+    step = max(1, BLOCK_CELLS // width)
+    return [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
+
+
+def _shift_pairs(m: int):
+    """``(source, destination)`` column slices of an fftshift of even length m."""
+    h = m // 2
+    return ((slice(h, None), slice(None, h)), (slice(None, h), slice(h, None)))
 
 
 def _snap_taus(field: ComplexField, tau_axis) -> tuple[np.ndarray, list]:
@@ -223,12 +291,23 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
     _check_half_nyquist(field, "shg_frog")
     taus, steps = _snap_taus(field, tau_axis)
     g = field.grid
-    P = _shifted_products(field.samples, steps)
-    rows = np.fft.fftshift(g.n * np.fft.ifft(P, axis=1), axes=1)
-    vals = (g.dt * g.dt) * (rows.real**2 + rows.imag**2)
-    peak = float(vals.max())
+    n = g.n
+    E = field.samples
+    blocks = _row_blocks(len(steps), n)
+    buf = np.empty((blocks[0][1], n), dtype=np.complex128)
+    vals = np.empty((len(steps), n), dtype=np.float64)
+    peak = 0.0
+    for lo, hi in blocks:
+        rows = np.fft.ifft(_shifted_products(E, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
+        rows *= n
+        for src, dst in _shift_pairs(n):
+            v = vals[lo:hi, dst]
+            np.square(rows.real[:, src], out=v)
+            v += np.square(rows.imag[:, src])
+        vals[lo:hi] *= g.dt * g.dt
+        peak = max(peak, float(vals[lo:hi].max()))
     if peak > 0:
-        vals = vals / peak
+        vals /= peak
     return Spectrogram(taus, g.ang_freqs(), vals, peak)
 
 
@@ -244,7 +323,7 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     g = field.grid
     w = np.atleast_1d(np.asarray(omega_axis, dtype=np.float64))
     _check_axis("omega_axis", w)
-    P = _shifted_products(field.samples, steps)
+    P = _shifted_products(field.samples, field.samples, steps)
     kernel = np.exp(1j * np.outer(g.times(), w))
     amps = g.dt * (P @ kernel)
     vals = amps.real**2 + amps.imag**2
@@ -264,6 +343,69 @@ def _wigner_axes(field: ComplexField):
     return q_axis, p_axis
 
 
+def _parity_operands(F2: np.ndarray) -> list:
+    """Zero-padded operands of the Wigner lag products, one pair per parity.
+
+    Row ``h = 2a + p`` of the lag matrix holds ``F2[h-2k] * conj(F2[h+2k])
+    = G[a-k] * conj(G[a+k])`` with ``G = F2[p::2]``; reading ``G[a-k]``
+    from the reversed copy makes both factors contiguous windows.
+    """
+    n = F2.size // 2
+    pairs = []
+    for p in (0, 1):
+        G = _zero_pad(F2[p::2], n - 1)
+        pairs.append((G[::-1].copy(), np.conj(G)))
+    return pairs
+
+
+def _wigner_lags(pairs, lo: int, hi: int, out: np.ndarray):
+    """Lag products of refined rows ``lo <= h < hi`` into ``out[: hi - lo]``.
+
+    With 2n columns the slot of lag k is ``k mod 2n`` (slot n stays
+    zero); with n columns the lags are folded mod n, which feeds the
+    n-point transform of the even p nodes only.
+    """
+    n = (pairs[0][0].size + 2) // 3  # operands hold n samples and 2n - 2 zeros
+    for p, (R, Gc) in enumerate(pairs):
+        first = lo + (lo + p) % 2
+        a = np.arange(first, hi, 2) // 2
+        if a.size == 0:
+            continue
+        rows = out[first - lo : hi - lo : 2]
+        _lag_products(R, Gc, 2 * n - 2 - a, a + n - 1, n, out=rows[:, :n])  # k >= 0
+        if out.shape[1] == n:
+            rows[:, 1:] += _lag_products(R, Gc, n - 1 - a, a, n - 1)  # k < 0, folded
+        else:
+            _lag_products(R, Gc, n - 1 - a, a, n - 1, out=rows[:, n + 1 :])
+
+
+def _wigner_rows(pairs, lo: int, out: np.ndarray, dt: float) -> float:
+    """Fill ``out`` with raw Wigner rows ``lo <= h < lo + len(out)``, p fftshifted.
+
+    ``out`` holds all 2n p columns, or n for the even p nodes only.
+    Checks the imaginary residue over the rows computed and returns
+    their peak ``max |W|``.
+    """
+    nrows, width = out.shape
+    blocks = _row_blocks(nrows, width)
+    buf = np.zeros((blocks[0][1], width), dtype=np.complex128)  # slot n stays zero
+    max_imag = peak = 0.0
+    for a, b in blocks:
+        _wigner_lags(pairs, lo + a, lo + b, buf)
+        S = np.fft.ifft(buf[: b - a], axis=1)
+        S *= width
+        S *= dt / math.pi
+        for src, dst in _shift_pairs(width):
+            out[a:b, dst] = S.real[:, src]
+        max_imag = max(max_imag, float(np.max(np.abs(S.imag))))
+        peak = max(peak, float(np.max(np.abs(out[a:b]))))
+    if peak > 0 and max_imag > IMAG_RESIDUE_LIMIT * peak:
+        raise ComputeError(
+            f"Wigner imaginary residue {max_imag:g} exceeds {IMAG_RESIDUE_LIMIT:g} of peak {peak:g}"
+        )
+    return peak
+
+
 def wigner(field: ComplexField) -> WignerMap:
     """Wigner distribution ``(1/pi) sum_xi exp(2 i xi p) F(q-xi) F*(q+xi) dxi``.
 
@@ -275,38 +417,13 @@ def wigner(field: ComplexField) -> WignerMap:
     _check_half_nyquist(field, "wigner")
     g = field.grid
     n = g.n
-    n2 = 2 * n
     M = 2 * n
-    F2 = upsample2(field).samples
+    pairs = _parity_operands(upsample2(field).samples)
     q_axis, p_axis = _wigner_axes(field)
-    ks = np.arange(-(n - 1), n)
-    slots = ks % M
-    W = np.empty((n2, M), dtype=np.float64)
-    max_imag = 0.0
-    chunk = max(1, (1 << 22) // M)  # bound the working set to a few tens of MB
-    for lo in range(0, n2, chunk):
-        hi = min(lo + chunk, n2)
-        h = np.arange(lo, hi)[:, None]
-        i_minus = h - 2 * ks[None, :]
-        i_plus = h + 2 * ks[None, :]
-        valid = (i_minus >= 0) & (i_minus < n2) & (i_plus >= 0) & (i_plus < n2)
-        prods = np.where(
-            valid,
-            F2[np.clip(i_minus, 0, n2 - 1)] * np.conj(F2[np.clip(i_plus, 0, n2 - 1)]),
-            0.0,
-        )
-        C = np.zeros((hi - lo, M), dtype=np.complex128)
-        C[:, slots] = prods
-        S = np.fft.fftshift(M * np.fft.ifft(C, axis=1), axes=1) * (g.dt / math.pi)
-        max_imag = max(max_imag, float(np.max(np.abs(S.imag))))
-        W[lo:hi] = S.real
-    peak = float(np.max(np.abs(W)))
-    if peak > 0 and max_imag > IMAG_RESIDUE_LIMIT * peak:
-        raise ComputeError(
-            f"Wigner imaginary residue {max_imag:g} exceeds {IMAG_RESIDUE_LIMIT:g} of peak {peak:g}"
-        )
+    W = np.empty((M, M), dtype=np.float64)
+    peak = _wigner_rows(pairs, 0, W, g.dt)
     if peak > 0:
-        W = W / peak
+        W /= peak
     return WignerMap(q_axis, p_axis, W, peak)
 
 
@@ -372,15 +489,10 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
         raise DomainError(
             f"frequency shift beyond the representable +-{nyq:g} rad/ps"
         )
-    steps = [g.delay_steps(x) for x in dts]
+    steps = np.array([g.delay_steps(x) for x in dts])
     E = field.samples
+    Ec = np.conj(E)
     n = g.n
-    conj_rows = np.zeros((len(steps), n), dtype=np.complex128)
-    for i, s in enumerate(steps):
-        if s >= 0:
-            conj_rows[i, s:] = np.conj(E[s:]) * E[: n - s]
-        else:
-            conj_rows[i, : n + s] = np.conj(E[: n + s]) * E[-s:]
     w = g.ang_freqs()
     j = np.rint((dnus - w[0]) / g.dw).astype(int)
     aligned = (
@@ -390,33 +502,59 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
     if _method == "fft" and not aligned:
         raise ConfigError("FFT overlap path needs dnu_axis on the conjugate grid")
     if aligned and _method != "direct":
-        full = np.fft.fftshift(n * np.fft.ifft(conj_rows, axis=1), axes=1)
-        full = full * (g.dt * np.exp(1j * w * g.t_start))[None, :]
-        vals = full[:, j]
+        phase = g.dt * np.exp(1j * w * g.t_start)
+        blocks = _row_blocks(steps.size, n)
+        buf = np.empty((blocks[0][1], n), dtype=np.complex128)
+        vals = np.empty((steps.size, n), dtype=np.complex128)
+        for lo, hi in blocks:
+            rows = np.fft.ifft(_shifted_products(Ec, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
+            rows *= n
+            for src, dst in _shift_pairs(n):
+                np.multiply(rows[:, src], phase[dst], out=vals[lo:hi, dst])
+            vals[lo:hi] /= e0
+        if not np.array_equal(j, np.arange(n)):
+            vals = vals[:, j]
     else:
         kernel = np.exp(1j * np.outer(g.times(), dnus))
-        vals = g.dt * (conj_rows @ kernel)
+        vals = g.dt * (_shifted_products(Ec, E, steps) @ kernel)
+        vals /= e0
     order_t = np.argsort(dts)
     order_nu = np.argsort(dnus)
-    return OverlapMap(dts[order_t], dnus[order_nu], (vals / e0)[np.ix_(order_t, order_nu)])
+    if np.any(np.diff(dts) <= 0) or np.any(np.diff(dnus) <= 0):
+        vals = vals[np.ix_(order_t, order_nu)]
+    return OverlapMap(dts[order_t], dnus[order_nu], vals)
 
 
-def _half_coordinate_pattern(field: ComplexField, wig: WignerMap,
-                             taus: np.ndarray) -> np.ndarray:
-    """|W(tau/2, omega/2)|^2 sampled on the spectrogram's (tau, omega) grid."""
+def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray) -> np.ndarray:
+    """|W(tau/2, omega/2)|^2, unnormalized, on the spectrogram's (tau, omega) grid.
+
+    Only the Wigner nodes the pattern reads are evaluated: the q rows at
+    tau/2 (plus the next row where t_start is off the sample lattice and
+    tau/2 falls between rows) and the even p columns, where omega/2
+    lies. Those columns are the n-point transform of the lag rows folded
+    mod n. The imaginary residue is checked over these nodes, relative
+    to their peak.
+    """
     g = field.grid
     n = g.n
-    # omega columns: omega_j/2 falls exactly on every second p node
-    sub = wig.values[:, 0 : 2 * n : 2]
-    # q rows at tau/2, exact when t_start sits on the sample lattice
     hf = taus / g.dt - 2.0 * g.t_start / g.dt
     h0 = np.floor(hf).astype(int)
     frac = hf - h0
     exact = np.abs(frac) < 1e-9
     h0 = np.clip(h0, 0, 2 * n - 1)
     h1 = np.clip(h0 + 1, 0, 2 * n - 1)
-    rows = np.where(exact[:, None], sub[h0], (1.0 - frac)[:, None] * sub[h0] + frac[:, None] * sub[h1])
-    return rows**2
+    lo = int(h0.min())
+    hi = int(max(h0.max(), h1[~exact].max(initial=0))) + 1
+    pairs = _parity_operands(upsample2(field).samples)
+    sub = np.empty((hi - lo, n), dtype=np.float64)
+    _wigner_rows(pairs, lo, sub, g.dt)
+    idx = h0 - lo
+    rows = sub if np.array_equal(idx, np.arange(sub.shape[0])) else sub[idx]
+    blend = ~exact
+    if np.any(blend):
+        f = frac[blend, None]
+        rows[blend] = (1.0 - f) * rows[blend] + f * sub[h1[blend] - lo]
+    return np.square(rows, out=rows)
 
 
 def correspondence_residual(field: ComplexField) -> float:
@@ -441,11 +579,11 @@ def correspondence_maps(field: ComplexField):
     K = g.n // 2 - 1
     taus = g.dt * np.arange(-K, K + 1)
     frog = shg_frog(field, taus)
-    wig = wigner(field)
-    pattern = _half_coordinate_pattern(field, wig, frog.tau_axis)
+    pattern = _half_coordinate_pattern(field, frog.tau_axis)
     peak = float(pattern.max())
     if peak > 0:
-        pattern = pattern / peak
-    residual = float(np.max(np.abs(frog.values - pattern)))
+        pattern /= peak
+    diff = frog.values - pattern
+    residual = float(np.max(np.abs(diff, out=diff)))
     wmap = Spectrogram(frog.tau_axis, frog.omega_axis, pattern, peak)
     return frog, wmap, residual

@@ -388,6 +388,12 @@ def test_field_round_trip(tmp_path):
         load_field(q)
 
 
+def test_field_non_integer_count_is_format_error(tmp_path):
+    q = write(tmp_path, "frac.chronofield", "CHRONO-FIELD v1\n16.5 0.04 -0.32\n")
+    with pytest.raises(FormatError, match="not an integer"):
+        load_field(q)
+
+
 # --------------------------------------------------------------- exports
 
 
