@@ -10,7 +10,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     ComputeError,
@@ -455,6 +454,25 @@ def sweep_separation(base: CompassSpec, t0_values, grid: SampleGrid | None = Non
     return tuple(points)
 
 
+def _resample_bilinear(values, ax_t, ax_w, ts, ws):
+    """Bilinear samples of ``values`` on the tensor grid ``ts x ws``.
+
+    Both grids ascend and the targets lie inside the source axes. Rows
+    are interpolated along the time-like axis first, then columns along
+    the frequency axis; a target on the last node takes the last
+    interval at offset 1.
+    """
+
+    def weights(axis, x):
+        i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+        return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+    i, y = weights(ax_t, ts)
+    rows = values[i] * (1 - y)[:, None] + values[i + 1] * y[:, None]
+    j, z = weights(ax_w, ws)
+    return rows[:, j] * (1 - z) + rows[:, j + 1] * z
+
+
 def compare_maps(a, b) -> float:
     """Similarity of two maps of the same kind in [-1, 1].
 
@@ -475,11 +493,8 @@ def compare_maps(a, b) -> float:
     step_w = min(ax_w_a[1] - ax_w_a[0], ax_w_b[1] - ax_w_b[0])
     ts = np.linspace(lo_t, hi_t, max(2, int(round((hi_t - lo_t) / step_t)) + 1))
     ws = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / step_w)) + 1))
-    T, W = np.meshgrid(ts, ws, indexing="ij")
-    pts = np.stack([T.ravel(), W.ravel()], axis=-1)
     for m, ax_t, ax_w in ((a, ax_t_a, ax_w_a), (b, ax_t_b, ax_w_b)):
-        interp = RegularGridInterpolator((ax_t, ax_w), m.values, method="linear")
-        patch = interp(pts)
+        patch = _resample_bilinear(m.values, ax_t, ax_w, ts, ws).ravel()
         peak = np.max(np.abs(patch))
         if peak == 0:
             raise ComputeError("map is identically zero on the shared region")

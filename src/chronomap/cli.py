@@ -175,7 +175,7 @@ def _stamp_file(path, stamp):
     now = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path, "r", encoding="utf-8") as fh:
         body = fh.read()
-    with open(path, "w", encoding="utf-8") as fh:
+    with dataio.atomic_open(path) as fh:
         fh.write(f"# generated {now}\n" + body)
 
 

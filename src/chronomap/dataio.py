@@ -6,10 +6,13 @@ Measured traces arrive as CSV (long or matrix layout) with wavelength
 axes in nm and are calibrated onto uniform angular-frequency grids.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
+from array import array
 
 import numpy as np
 
@@ -105,54 +108,91 @@ def _parse_float(token, path, lineno):
         raise ParseError(f"{path}:{lineno}: not a number: {token!r}") from None
 
 
+def _parse_floats(tokens, path, lineno):
+    """Floats of one row; the first bad token is named with its ``path:line``."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        for t in tokens:
+            _parse_float(t, path, lineno)
+        raise
+
+
+def _data_lines(fh, path):
+    """Yield ``(lineno, stripped)`` for each non-blank line of a text file.
+
+    Lines end at LF, CR or CRLF. Bytes that are not UTF-8 raise
+    :class:`ParseError` wherever in the file they appear.
+    """
+    try:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_trace_long(path, lines):
-    header = [t.strip() for t in lines[0][1].split(",")]
+    lineno, line = next(lines)
+    header = [t.strip() for t in line.split(",")]
     if header != ["delay_ps", "wavelength_nm", "intensity"]:
         raise ParseError(
-            f"{path}:{lines[0][0]}: expected header 'delay_ps,wavelength_nm,intensity'"
+            f"{path}:{lineno}: expected header 'delay_ps,wavelength_nm,intensity'"
         )
-    blocks = []  # (delay, [wavelengths], [intensities], lineno of block start)
-    for lineno, line in lines[1:]:
+    delays, starts = [], []  # per delay block: its delay and first row
+    waves, vals = array("d"), array("d")
+    d0 = w0 = math.nan  # the current block's delay, the previous row's wavelength
+    for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 comma-separated columns")
-        d, w, v = (_parse_float(p, path, lineno) for p in parts)
-        if not blocks or blocks[-1][0] != d:
-            if blocks and d <= blocks[-1][0]:
+        try:
+            d, w, v = map(float, parts)
+        except ValueError:
+            _parse_floats(parts, path, lineno)
+            raise
+        if d == d0:
+            if w <= w0:
+                raise ParseError(
+                    f"{path}:{lineno}: wavelength not strictly increasing within its delay block"
+                )
+        else:
+            if d <= d0:
                 raise ParseError(
                     f"{path}:{lineno}: delay blocks must be strictly increasing"
                 )
-            blocks.append((d, [], []))
-        _, ws, vs = blocks[-1]
-        if ws and w <= ws[-1]:
-            raise ParseError(
-                f"{path}:{lineno}: wavelength not strictly increasing within its delay block"
-            )
-        ws.append(w)
-        vs.append(v)
-    if not blocks:
+            delays.append(d)
+            starts.append(len(vals))
+            d0 = d
+        w0 = w
+        waves.append(w)
+        vals.append(v)
+    if not delays:
         raise ParseError(f"{path}: no data rows")
-    wave = blocks[0][1]
-    for d, ws, _ in blocks[1:]:
-        if ws != wave:
+    waves = np.frombuffer(waves, float)
+    bounds = starts + [waves.size]
+    wave = waves[: bounds[1]]
+    for d, lo, hi in zip(delays[1:], bounds[1:], bounds[2:]):
+        if not np.array_equal(waves[lo:hi], wave):
             raise ParseError(
                 f"{path}: delay block at {d:g} ps has a different wavelength axis"
             )
-    delays = np.array([b[0] for b in blocks])
-    vals = np.array([b[2] for b in blocks])
-    return delays, np.array(wave), vals
+    vals = np.frombuffer(vals, float).reshape(len(delays), wave.size)
+    return np.array(delays), wave.copy(), vals
 
 
 def _load_trace_matrix(path, lines):
     axes = {}
-    rows = []
+    rows = []  # (lineno, column count) per data row
+    vals = array("d")
     for lineno, line in lines:
         if line.startswith("#"):
             body = line[1:].strip()
             for key in ("delay_ps", "wavelength_nm"):
                 if body.startswith(key + ":"):
                     axes[key] = np.array(
-                        [_parse_float(t, path, lineno) for t in body[len(key) + 1 :].split()]
+                        _parse_floats(body[len(key) + 1 :].split(), path, lineno)
                     )
                     steps = np.diff(axes[key])
                     if not (np.all(steps > 0) or np.all(steps < 0)):
@@ -160,17 +200,20 @@ def _load_trace_matrix(path, lines):
                             f"{path}:{lineno}: {key} axis is not strictly monotone"
                         )
             continue
-        rows.append((lineno, [_parse_float(t, path, lineno) for t in line.split(",")]))
+        row = _parse_floats(line.split(","), path, lineno)
+        rows.append((lineno, len(row)))
+        vals.extend(row)
     for key in ("delay_ps", "wavelength_nm"):
         if key not in axes:
             raise ParseError(f"{path}: missing '# {key}:' axis line")
     nd, nw = axes["delay_ps"].size, axes["wavelength_nm"].size
     if len(rows) != nd:
         raise ParseError(f"{path}: expected {nd} data rows, found {len(rows)}")
-    for lineno, row in rows:
-        if len(row) != nw:
-            raise ParseError(f"{path}:{lineno}: expected {nw} columns, found {len(row)}")
-    return axes["delay_ps"], axes["wavelength_nm"], np.array([r for _, r in rows])
+    for lineno, count in rows:
+        if count != nw:
+            raise ParseError(f"{path}:{lineno}: expected {nw} columns, found {count}")
+    vals = np.frombuffer(vals, float).reshape(nd, nw)
+    return axes["delay_ps"], axes["wavelength_nm"], vals
 
 
 def load_trace(path, format: str = "csv-long",
@@ -182,24 +225,21 @@ def load_trace(path, format: str = "csv-long",
     (``# delay_ps:`` and ``# wavelength_nm:`` axis lines, then one
     comma-separated row per delay). ``negative_policy`` decides whether
     negative baseline entries reject the file or clamp to zero; clamped
-    cells are counted in ``meta["clamped_count"]``.
+    cells are counted in ``meta["clamped_count"]``. Blank lines are
+    skipped and fields may carry surrounding spaces; the file is read
+    one line at a time.
     """
     if format not in ("csv-long", "csv-matrix"):
         raise ConfigError(f"unknown trace format {format!r}")
     if negative_policy not in ("reject", "clamp"):
         raise ConfigError(f"unknown negative policy {negative_policy!r}")
+    loader = _load_trace_long if format == "csv-long" else _load_trace_matrix
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (i + 1, ln.strip())
-            for i, ln in enumerate(fh.read().splitlines())
-            if ln.strip()
-        ]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    if format == "csv-long":
-        delays, wave, vals = _load_trace_long(path, lines)
-    else:
-        delays, wave, vals = _load_trace_matrix(path, lines)
+        lines = _data_lines(fh, path)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
+        delays, wave, vals = loader(path, itertools.chain([first], lines))
     meta = {"source": os.path.basename(path), "format": format}
     if not np.all(np.isfinite(vals)):
         raise ParseError(f"{path}: non-finite intensity values")
@@ -211,7 +251,10 @@ def load_trace(path, format: str = "csv-long",
             )
         vals = np.clip(vals, 0, None)
         meta["clamped_count"] = negatives
-    return ExperimentalTrace(delays, wave, vals, meta)
+    try:
+        return ExperimentalTrace(delays, wave, vals, meta)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------ calibration
@@ -294,7 +337,33 @@ def trace_from_spectrogram(m: Spectrogram, cal: Calibration) -> ExperimentalTrac
 
 
 def _format_row(values):
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, np.asarray(values, float).tolist()))
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open ``path`` for writing so that readers never see a partial file.
+
+    The body writes to a new sibling file that replaces ``path`` only
+    when the ``with`` block completes. On any failure the sibling is
+    removed and an existing ``path`` keeps its old content; an
+    ``OSError`` names ``path``, not the sibling. ``mode`` is ``"w"``
+    (UTF-8 text) or ``"wb"``.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 def save_map(m, path, format: str = "native"):
@@ -311,7 +380,7 @@ def save_map(m, path, format: str = "native"):
     if format != "native":
         raise ConfigError(f"unknown map format {format!r}")
     names = _MAP_AXES[kind]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAP_MAGIC + "\n")
         fh.write(f"{kind} {names[0]} {names[1]} scale={repr(float(m.scale))}\n")
         fh.write(_format_row(ax1) + "\n")
@@ -324,7 +393,7 @@ def _save_pgm(values, path):
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
     gray = np.round((values - lo) / span * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii"))
         fh.write(gray.tobytes())
 
@@ -350,8 +419,8 @@ def load_map(path):
     if kind not in _MAP_KINDS:
         raise FormatError(f"{path}:2: unknown map kind {kind!r}")
     scale = _parse_float(header[3][len("scale="):], path, 2)
-    ax1 = np.array([_parse_float(t, path, 3) for t in lines[2].split()])
-    ax2 = np.array([_parse_float(t, path, 4) for t in lines[3].split()])
+    ax1 = np.array(_parse_floats(lines[2].split(), path, 3))
+    ax2 = np.array(_parse_floats(lines[3].split(), path, 4))
     rows = [ln for ln in lines[4:] if ln.strip()]
     if len(rows) != ax1.size:
         raise FormatError(
@@ -359,26 +428,33 @@ def load_map(path):
         )
     values = np.empty((ax1.size, ax2.size))
     for i, ln in enumerate(rows):
-        row = [_parse_float(t, path, 5 + i) for t in ln.split()]
+        row = _parse_floats(ln.split(), path, 5 + i)
         if len(row) != ax2.size:
             raise FormatError(f"{path}:{5 + i}: expected {ax2.size} values per row")
         values[i] = row
-    return _MAP_KINDS[kind](ax1, ax2, values, scale)
+    try:
+        return _MAP_KINDS[kind](ax1, ax2, values, scale)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_field(f: ComplexField, path):
     """Write a sampled field: grid line, then one 're im' row per sample."""
     g = f.grid
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(FIELD_MAGIC + "\n")
         fh.write(f"{g.n} {repr(float(g.dt))} {repr(float(g.t_start))}\n")
-        for v in f.samples:
-            fh.write(f"{repr(float(v.real))} {repr(float(v.imag))}\n")
+        for re, im in zip(f.samples.real.tolist(), f.samples.imag.tolist()):
+            fh.write(f"{re!r} {im!r}\n")
 
 
 def load_field(path) -> ComplexField:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a {FIELD_MAGIC} file (binary content)") from None
     if not lines or lines[0] != FIELD_MAGIC:
         raise FormatError(f"{path}: not a {FIELD_MAGIC} file")
     if len(lines) < 2:
@@ -390,7 +466,11 @@ def load_field(path) -> ComplexField:
         n = int(parts[0])
     except ValueError:
         raise FormatError(f"{path}:2: sample count is not an integer: {parts[0]!r}") from None
-    grid = SampleGrid(n, _parse_float(parts[1], path, 2), _parse_float(parts[2], path, 2))
+    dt, t_start = _parse_float(parts[1], path, 2), _parse_float(parts[2], path, 2)
+    try:
+        grid = SampleGrid(n, dt, t_start)
+    except ConfigError as exc:
+        raise FormatError(f"{path}:2: {exc}") from None
     rows = [ln for ln in lines[2:] if ln.strip()]
     if len(rows) != n:
         raise FormatError(f"{path}: expected {n} sample rows, found {len(rows)}")
@@ -402,7 +482,10 @@ def load_field(path) -> ComplexField:
         samples[i] = complex(
             _parse_float(parts[0], path, 3 + i), _parse_float(parts[1], path, 3 + i)
         )
-    return ComplexField(grid, samples)
+    try:
+        return ComplexField(grid, samples)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------- exports
@@ -455,7 +538,7 @@ def _is_sweep(obj):
 
 
 def save_report(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(report_to_json(obj) + "\n")
 
 
@@ -466,13 +549,13 @@ def export_plot_data(obj, path):
     spacing and area blocks plus a summary line; sweep series export
     one row per separation with a constant 0.5 limit column.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         if isinstance(obj, CrossSection):
             held, value = obj.fixed_coordinate
             fh.write(f"# cross-section, {obj.kind}, {held} held at {value!r}\n")
             fh.write("# axis value\n")
-            for x, v in zip(obj.axis, obj.values):
-                fh.write(f"{repr(float(x))} {repr(float(v))}\n")
+            for x, v in zip(obj.axis.tolist(), obj.values.tolist()):
+                fh.write(f"{x!r} {v!r}\n")
         elif isinstance(obj, CellAreaReport):
             fh.write("# cell-area report\n")
             fh.write("# delay spacings (ps): " + _format_row(obj.tau_spacings) + "\n")

@@ -51,6 +51,7 @@ to their peak.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,28 @@ IMAG_RESIDUE_LIMIT = 1e-10
 # The lag-product -> FFT -> scaling pipeline runs over row blocks of about
 # this many complex cells, so a block and its transform stay in L2 cache.
 BLOCK_CELLS = 1 << 16
+
+# Maps of at least this many bytes get anonymous pages of their own (the
+# size from which numpy itself asks the kernel for huge pages).
+OWN_PAGES_BYTES = 1 << 22
+
+
+def _map_empty(shape, dtype) -> np.ndarray:
+    """Uninitialized array for a map, on Linux on pages of its own.
+
+    From ``malloc``, maps of a few MB to 32 MiB move onto the brk heap
+    once glibc's dynamic mmap threshold has risen past them, and the
+    holes freed maps leave there between small allocations make a
+    process's peak memory depend on the order of its earlier calls.
+    Pages of its own go back to the OS when the array is freed.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < OWN_PAGES_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for its own large arrays
+    return np.frombuffer(buf, dtype).reshape(shape)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -295,7 +318,7 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
     E = field.samples
     blocks = _row_blocks(len(steps), n)
     buf = np.empty((blocks[0][1], n), dtype=np.complex128)
-    vals = np.empty((len(steps), n), dtype=np.float64)
+    vals = _map_empty((len(steps), n), np.float64)
     peak = 0.0
     for lo, hi in blocks:
         rows = np.fft.ifft(_shifted_products(E, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
@@ -420,7 +443,7 @@ def wigner(field: ComplexField) -> WignerMap:
     M = 2 * n
     pairs = _parity_operands(upsample2(field).samples)
     q_axis, p_axis = _wigner_axes(field)
-    W = np.empty((M, M), dtype=np.float64)
+    W = _map_empty((M, M), np.float64)
     peak = _wigner_rows(pairs, 0, W, g.dt)
     if peak > 0:
         W /= peak
@@ -505,7 +528,7 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
         phase = g.dt * np.exp(1j * w * g.t_start)
         blocks = _row_blocks(steps.size, n)
         buf = np.empty((blocks[0][1], n), dtype=np.complex128)
-        vals = np.empty((steps.size, n), dtype=np.complex128)
+        vals = _map_empty((steps.size, n), np.complex128)
         for lo, hi in blocks:
             rows = np.fft.ifft(_shifted_products(Ec, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
             rows *= n
@@ -546,7 +569,7 @@ def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray) -> np.ndarra
     lo = int(h0.min())
     hi = int(max(h0.max(), h1[~exact].max(initial=0))) + 1
     pairs = _parity_operands(upsample2(field).samples)
-    sub = np.empty((hi - lo, n), dtype=np.float64)
+    sub = _map_empty((hi - lo, n), np.float64)
     _wigner_rows(pairs, lo, sub, g.dt)
     idx = h0 - lo
     rows = sub if np.array_equal(idx, np.arange(sub.shape[0])) else sub[idx]
@@ -583,7 +606,9 @@ def correspondence_maps(field: ComplexField):
     peak = float(pattern.max())
     if peak > 0:
         pattern /= peak
-    diff = frog.values - pattern
-    residual = float(np.max(np.abs(diff, out=diff)))
+    residual = max(  # by row blocks, so no map-sized difference is built
+        float(np.max(np.abs(frog.values[lo:hi] - pattern[lo:hi])))
+        for lo, hi in _row_blocks(*pattern.shape)
+    )
     wmap = Spectrogram(frog.tau_axis, frog.omega_axis, pattern, peak)
     return frog, wmap, residual

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronomap import (
     CellAreaReport,
@@ -29,7 +31,7 @@ from chronomap import (
     wigner,
     wigner_cell_areas,
 )
-from chronomap.analysis import _auto_window
+from chronomap.analysis import _auto_window, _resample_bilinear
 
 OMEGA0 = np.pi * 3.3
 SIGMA = 0.25
@@ -347,3 +349,72 @@ def test_compare_rejects():
     far = Spectrogram(a.tau_axis + 1000.0, a.omega_axis, a.values.copy(), a.scale)
     with pytest.raises(DomainError):
         compare_maps(a, far)
+
+
+def _compass_field(n, dt, t_start, t0=2.0, amplitudes=(1.0, 1.0, 1.0, 1.0)):
+    g = make_grid(n, dt, t_start)
+    return compass_state(g, CompassSpec(t0, OMEGA0, SIGMA, amplitudes=amplitudes))
+
+
+def _shifted(m, d_first, d_second):
+    """The same map on axes moved by the given offsets."""
+    from chronomap import Spectrogram, WignerMap
+
+    if isinstance(m, Spectrogram):
+        return Spectrogram(m.tau_axis + d_first, m.omega_axis + d_second, m.values, m.scale)
+    return WignerMap(m.q_axis + d_first, m.p_axis + d_second, m.values, m.scale)
+
+
+def _frog_fine_vs_coarse():
+    a = shg_frog(_compass_field(1024, 0.02, -10.24), 0.02 * np.arange(-250, 251))
+    b = shg_frog(_compass_field(512, 0.04, -10.227), 0.04 * np.arange(-120, 121))
+    return a, _shifted(b, 0.013, 0.0)
+
+
+def _frog_perturbed():
+    a = shg_frog(_compass_field(2048, 0.02, -20.48, amplitudes=(1.0, 0.8, 1.0, 0.9)),
+                 0.02 * np.arange(-250, 251))
+    b = shg_frog(_compass_field(1024, 0.025, -12.5, t0=1.9), 0.05 * np.arange(-100, 101))
+    return a, _shifted(b, -0.031, 0.07)
+
+
+def _wigner_coarse_vs_fine():
+    a = wigner(_compass_field(512, 0.04, -10.24))
+    b = wigner(_compass_field(1024, 0.02, -10.2437, amplitudes=(1.0, 0.7, 1.0, 1.0)))
+    return a, _shifted(b, 0.0, -0.05)
+
+
+# Scores from the scipy RegularGridInterpolator route this resample replaced.
+@pytest.mark.parametrize("pair, expected", [
+    (_frog_fine_vs_coarse, 0.9900542825586855),
+    (_frog_perturbed, 0.8707530902938996),
+    (_wigner_coarse_vs_fine, 0.9706317870747792),
+])
+def test_compare_maps_on_mismatched_grids(pair, expected):
+    a, b = pair()
+    assert compare_maps(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert compare_maps(b, a) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def _uniform_axis():
+    return st.tuples(
+        st.floats(-5, 5), st.floats(0.05, 1.0), st.integers(2, 12)
+    ).map(lambda a: a[0] + a[1] * np.arange(a[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uniform_axis(), _uniform_axis(), st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.floats(0, 1), min_size=1, max_size=6),
+       st.lists(st.floats(0, 1), min_size=1, max_size=6))
+def test_resample_reproduces_bilinear_functions(ax_t, ax_w, coef, ft, fw):
+    a, b, c, d = coef
+
+    def f(t, w):
+        return a + b * t + c * w + d * t * w
+
+    values = f(ax_t[:, None], ax_w[None, :])
+    ts = np.sort(np.r_[ax_t[0], ax_t[-1], ax_t[0] + np.array(ft) * (ax_t[-1] - ax_t[0])])
+    ws = np.sort(np.r_[ax_w[0], ax_w[-1], ax_w[0] + np.array(fw) * (ax_w[-1] - ax_w[0])])
+    ts, ws = np.clip(ts, ax_t[0], ax_t[-1]), np.clip(ws, ax_w[0], ax_w[-1])
+    got = _resample_bilinear(values, ax_t, ax_w, ts, ws)
+    npt.assert_allclose(got, f(ts[:, None], ws[None, :]), rtol=0, atol=1e-12)

@@ -3,6 +3,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -274,3 +276,58 @@ def test_figure_preset_dry_run(tmp_path):
     assert result.exit_code == 0
     assert "dry-run ok" in result.output
     assert os.listdir(str(d)) == []
+
+
+def _write_map_text(path, ax1, ax2, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("CHRONO-MAP v1\nspectrogram delay_ps ang_freq_rad_per_ps scale=1.0\n")
+        for line in (ax1, ax2, *rows):
+            fh.write(" ".join(map(repr, line)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["non-uniform axis", "nan value"])
+def test_malformed_map_values_exit_3(tmp_path, case):
+    ax1 = [0.0, 0.1, 0.3] if case == "non-uniform axis" else [0.0, 0.1, 0.2]
+    rows = [[0.0, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 0.5, float("nan")]]
+    if case == "non-uniform axis":
+        rows[2][2] = 0.0
+    p = _write_map_text(tmp_path / "bad.chronomap", ax1, [-1.0, 0.0, 1.0], rows)
+    for args in (("compare", "--input-a", p, "--input-b", p),
+                 ("crosscut", "--input", p, "--axis", "delay",
+                  "--out", str(tmp_path / "cut.dat"))):
+        result = invoke(*args)
+        assert result.exit_code == 3, (args, all_text(result))
+        assert "bad.chronomap" in all_text(result)
+
+
+def test_single_delay_block_trace_exits_3(tmp_path):
+    csv = tmp_path / "one.csv"
+    csv.write_text("delay_ps,wavelength_nm,intensity\n0,780,1\n0,781,2\n")
+    result = invoke("ingest", "--input", str(csv), "--out", str(tmp_path / "m"))
+    assert result.exit_code == 3
+    assert "one.csv" in all_text(result)
+
+
+@pytest.mark.parametrize("fmt", ["csv-long", "csv-matrix"])
+def test_non_utf8_trace_exits_3(tmp_path, fmt):
+    csv = tmp_path / "latin1.csv"
+    if fmt == "csv-long":
+        body = "delay_ps,wavelength_nm,intensity\n" + "".join(
+            f"{d},780,1.0\n{d},781,1.0\n" for d in range(1000))
+    else:
+        body = "# delay_ps: 0 1\n# wavelength_nm: 780 781\n" + "1.0,1.0\n" * 4000
+    csv.write_bytes(body.encode() + b"\xe9\n")
+    result = invoke("ingest", "--input", str(csv), "--format", fmt,
+                    "--out", str(tmp_path / "m"))
+    assert result.exit_code == 3, all_text(result)
+    assert "latin1.csv: not UTF-8" in all_text(result)
+    assert not (tmp_path / "m").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, chronomap.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -246,3 +246,41 @@ def test_wigner_matches_quadrature_oracle(f):
     raw_a = a.values * a.scale
     raw_b = b.values * b.scale
     assert np.max(np.abs(raw_a - raw_b)) / np.max(np.abs(raw_a)) <= 1e-9
+
+
+# ------------------------------------------------------- map buffers
+
+
+def on_own_pages(a):
+    """Whether an array's memory is an anonymous map of its own."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, transforms.mmap.mmap)
+
+
+def test_map_buffers_take_own_pages_from_the_size_cutoff():
+    small = transforms._map_empty((2, 3), np.float64)
+    big = transforms._map_empty((transforms.OWN_PAGES_BYTES // 16, 2), np.complex128)
+    for a, shape, dtype in ((small, (2, 3), np.float64),
+                            (big, (transforms.OWN_PAGES_BYTES // 16, 2), np.complex128)):
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+    assert small.flags.owndata
+    assert on_own_pages(big) == hasattr(transforms.mmap, "MADV_HUGEPAGE")
+
+
+def test_maps_are_bitwise_equal_on_either_buffer(monkeypatch):
+    f = correspondence_states()["chirped"]
+    taus = f.grid.dt * np.arange(-40, 41)
+
+    def maps():
+        frog, pattern, residual = correspondence_maps(f)
+        om = overlap_map(f, taus, f.grid.ang_freqs())
+        return frog.values, pattern.values, residual, wigner(f).values, om.values
+
+    monkeypatch.setattr(transforms, "OWN_PAGES_BYTES", 0)
+    paged = maps()
+    assert on_own_pages(paged[0]) == hasattr(transforms.mmap, "MADV_HUGEPAGE")
+    monkeypatch.setattr(transforms, "OWN_PAGES_BYTES", 1 << 62)
+    for a, b in zip(paged, maps()):
+        assert np.array_equal(a, b)

@@ -1,0 +1,568 @@
+"""Text I/O tests: streamed trace and map parsing against the line-list
+parsers they replaced, arbitrary-byte inputs, and atomic writes."""
+
+import os
+import types
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import chronomap.cli as cli
+from chronomap import (
+    ChronoError,
+    CompassSpec,
+    ConfigError,
+    FormatError,
+    ParseError,
+    Spectrogram,
+    compass_state,
+    cross_section,
+    dataio,
+    export_plot_data,
+    load_field,
+    load_map,
+    load_trace,
+    make_grid,
+    save_field,
+    save_map,
+    save_report,
+    shg_frog,
+    sweep_separation,
+)
+
+OMEGA0 = np.pi * 3.3
+
+# ------------------------------------------- reference line-list parsers
+#
+# Copies of the parsers that read the whole file, split it with
+# str.splitlines and parsed one token per call. The streamed parsers
+# must return the same arrays and raise the same errors.
+
+
+def _ref_parse_float(token, path, lineno):
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: not a number: {token!r}") from None
+
+
+def _ref_trace_long(path, lines):
+    header = [t.strip() for t in lines[0][1].split(",")]
+    if header != ["delay_ps", "wavelength_nm", "intensity"]:
+        raise ParseError(
+            f"{path}:{lines[0][0]}: expected header 'delay_ps,wavelength_nm,intensity'"
+        )
+    blocks = []
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 comma-separated columns")
+        d, w, v = (_ref_parse_float(p, path, lineno) for p in parts)
+        if not blocks or blocks[-1][0] != d:
+            if blocks and d <= blocks[-1][0]:
+                raise ParseError(
+                    f"{path}:{lineno}: delay blocks must be strictly increasing"
+                )
+            blocks.append((d, [], []))
+        _, ws, vs = blocks[-1]
+        if ws and w <= ws[-1]:
+            raise ParseError(
+                f"{path}:{lineno}: wavelength not strictly increasing within its delay block"
+            )
+        ws.append(w)
+        vs.append(v)
+    if not blocks:
+        raise ParseError(f"{path}: no data rows")
+    wave = blocks[0][1]
+    for d, ws, _ in blocks[1:]:
+        if ws != wave:
+            raise ParseError(
+                f"{path}: delay block at {d:g} ps has a different wavelength axis"
+            )
+    delays = np.array([b[0] for b in blocks])
+    vals = np.array([b[2] for b in blocks])
+    return delays, np.array(wave), vals
+
+
+def _ref_trace_matrix(path, lines):
+    axes = {}
+    rows = []
+    for lineno, line in lines:
+        if line.startswith("#"):
+            body = line[1:].strip()
+            for key in ("delay_ps", "wavelength_nm"):
+                if body.startswith(key + ":"):
+                    axes[key] = np.array(
+                        [_ref_parse_float(t, path, lineno)
+                         for t in body[len(key) + 1 :].split()]
+                    )
+                    steps = np.diff(axes[key])
+                    if not (np.all(steps > 0) or np.all(steps < 0)):
+                        raise ParseError(
+                            f"{path}:{lineno}: {key} axis is not strictly monotone"
+                        )
+            continue
+        rows.append((lineno, [_ref_parse_float(t, path, lineno) for t in line.split(",")]))
+    for key in ("delay_ps", "wavelength_nm"):
+        if key not in axes:
+            raise ParseError(f"{path}: missing '# {key}:' axis line")
+    nd, nw = axes["delay_ps"].size, axes["wavelength_nm"].size
+    if len(rows) != nd:
+        raise ParseError(f"{path}: expected {nd} data rows, found {len(rows)}")
+    for lineno, row in rows:
+        if len(row) != nw:
+            raise ParseError(f"{path}:{lineno}: expected {nw} columns, found {len(row)}")
+    return axes["delay_ps"], axes["wavelength_nm"], np.array([r for _, r in rows])
+
+
+def _ref_load_trace(path, format, negative_policy):
+    """The reference trace read, up to (not including) the trace type."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [
+            (i + 1, ln.strip())
+            for i, ln in enumerate(fh.read().splitlines())
+            if ln.strip()
+        ]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    if format == "csv-long":
+        delays, wave, vals = _ref_trace_long(path, lines)
+    else:
+        delays, wave, vals = _ref_trace_matrix(path, lines)
+    meta = {"source": os.path.basename(path), "format": format}
+    if not np.all(np.isfinite(vals)):
+        raise ParseError(f"{path}: non-finite intensity values")
+    negatives = int(np.count_nonzero(vals < 0))
+    if negatives:
+        if negative_policy == "reject":
+            raise ParseError(
+                f"{path}: {negatives} negative intensity entries (policy 'reject')"
+            )
+        vals = np.clip(vals, 0, None)
+        meta["clamped_count"] = negatives
+    return delays, wave, vals, meta
+
+
+def _ref_load_map(path):
+    """The reference map read, up to (not including) the map type."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    lines = raw.decode("utf-8").splitlines()
+    magic = dataio.MAP_MAGIC
+    if not lines or lines[0].split(" v")[0] != magic.split(" v")[0]:
+        raise FormatError(f"{path}: not a {magic} file")
+    if lines[0] != magic:
+        raise FormatError(f"{path}: unsupported version {lines[0]!r}")
+    if len(lines) < 4:
+        raise FormatError(f"{path}: truncated header")
+    header = lines[1].split()
+    if len(header) != 4 or not header[3].startswith("scale="):
+        raise FormatError(f"{path}:2: malformed map header")
+    kind = header[0]
+    if kind not in ("spectrogram", "wigner"):
+        raise FormatError(f"{path}:2: unknown map kind {kind!r}")
+    scale = _ref_parse_float(header[3][len("scale="):], path, 2)
+    ax1 = np.array([_ref_parse_float(t, path, 3) for t in lines[2].split()])
+    ax2 = np.array([_ref_parse_float(t, path, 4) for t in lines[3].split()])
+    rows = [ln for ln in lines[4:] if ln.strip()]
+    if len(rows) != ax1.size:
+        raise FormatError(
+            f"{path}: expected {ax1.size} value rows, found {len(rows)} (truncated?)"
+        )
+    values = np.empty((ax1.size, ax2.size))
+    for i, ln in enumerate(rows):
+        row = [_ref_parse_float(t, path, 5 + i) for t in ln.split()]
+        if len(row) != ax2.size:
+            raise FormatError(f"{path}:{5 + i}: expected {ax2.size} values per row")
+        values[i] = row
+    return kind, ax1, ax2, values, scale
+
+
+# -------------------------------------------------------- trace strategies
+
+
+def _ascending(lo, hi, min_size, max_size):
+    return st.lists(
+        st.floats(lo, hi, allow_nan=False), min_size=min_size, max_size=max_size,
+        unique=True,
+    ).map(sorted)
+
+
+@st.composite
+def traces(draw):
+    """A valid trace as (delays, wavelengths, intensities)."""
+    delays = draw(_ascending(-50, 50, 2, 5))
+    waves = draw(_ascending(300, 1500, 2, 6))
+    vals = draw(st.lists(
+        st.floats(-0.5, 10, allow_nan=False),
+        min_size=len(delays) * len(waves), max_size=len(delays) * len(waves),
+    ))
+    return delays, waves, np.array(vals).reshape(len(delays), len(waves)).tolist()
+
+
+PADS = ["", "", " ", "  ", "\t"]
+BLANKS = [None, None, None, None, "", "  ", "\t"]
+
+
+@st.composite
+def layouts(draw):
+    """How to lay text lines out: token padding, blank lines, line ends and
+    the intensity format (axes keep ``repr`` so that they stay distinct)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    return types.SimpleNamespace(
+        pad=lambda tok: rnd.choice(PADS) + tok + rnd.choice(PADS),
+        blank=lambda: rnd.choice(BLANKS),
+        newline=draw(st.sampled_from(["\n", "\r\n", "\r"])),
+        last=draw(st.booleans()),
+        fmt=draw(st.sampled_from([repr, lambda x: f"{x:.6g}", lambda x: f"{x:.3e}"])),
+    )
+
+
+def _join(lines, lay):
+    out = []
+    for line in lines:
+        blank = lay.blank()
+        if blank is not None:
+            out.append(blank)
+        out.append(line)
+    return lay.newline.join(out) + (lay.newline if lay.last else "")
+
+
+def _long_lines(trace, lay):
+    delays, waves, vals = trace
+    lines = [",".join(lay.pad(h) for h in ("delay_ps", "wavelength_nm", "intensity"))]
+    for d, row in zip(delays, vals):
+        for w, v in zip(waves, row):
+            lines.append(",".join(lay.pad(t) for t in (repr(d), repr(w), lay.fmt(v))))
+    return lines
+
+
+def _matrix_lines(trace, lay):
+    delays, waves, vals = trace
+    lines = [
+        "# delay_ps: " + " ".join(lay.pad(repr(d)) for d in delays),
+        "# wavelength_nm: " + " ".join(lay.pad(repr(w)) for w in waves),
+        "# a comment line",
+    ]
+    lines += [",".join(lay.pad(lay.fmt(v)) for v in row) for row in vals]
+    return lines
+
+
+def _write_bytes(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_bytes(text.encode("utf-8"))
+    return str(p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ChronoError as exc:
+        return type(exc), str(exc)
+
+
+_HYP = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_HYP
+@given(traces(), layouts(), st.sampled_from(["csv-long", "csv-matrix"]))
+def test_load_trace_matches_reference(tmp_path, trace, lay, fmt):
+    lines = _long_lines(trace, lay) if fmt == "csv-long" else _matrix_lines(trace, lay)
+    path = _write_bytes(tmp_path, "t.csv", _join(lines, lay))
+    delays, wave, vals, meta = _ref_load_trace(path, fmt, "clamp")
+    got = load_trace(path, fmt, "clamp")
+    assert np.array_equal(got.delay_axis, delays)
+    assert np.array_equal(got.wavelength_axis, wave)
+    assert np.array_equal(got.intensities, vals)
+    assert got.meta == meta
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _set_wavelength(lines, k, text):
+    d, _, v = lines[k].split(",")
+    lines[k] = ",".join((d, text, v))
+
+
+# Each defect edits a valid file's line list (header or axis lines first)
+# and leaves it malformed in exactly one way.
+LONG_DEFECTS = {
+    "bad token": lambda ls, k: ls.__setitem__(k, ls[k].replace(",", ",x", 1)),
+    "two columns": lambda ls, k: ls.__setitem__(k, ls[k].rsplit(",", 1)[0]),
+    "four columns": lambda ls, k: ls.__setitem__(k, ls[k] + ",1"),
+    "header": lambda ls, k: ls.__setitem__(0, "delay,wavelength,intensity"),
+    "header only": lambda ls, k: ls.__delitem__(slice(1, None)),
+    "nan intensity": lambda ls, k: ls.__setitem__(k, ls[k].rsplit(",", 1)[0] + ",nan"),
+    "wavelength order": lambda ls, k: _swap(ls, k, k + 1),
+    "block order": lambda ls, k: _swap(ls, 1, len(ls) - 1),
+    "short block": lambda ls, k: ls.__delitem__(len(ls) - 1),
+    "moved wavelength": lambda ls, k: _set_wavelength(
+        ls, len(ls) - 1, repr(float(ls[-1].split(",")[1]) + 1.0)),
+    "repeated wavelength": lambda ls, k: _set_wavelength(ls, k + 1, ls[k].split(",")[1]),
+}
+MATRIX_DEFECTS = {
+    "bad token": lambda ls, k: ls.__setitem__(k, ls[k] + "x"),
+    "bad axis token": lambda ls, k: ls.__setitem__(1, ls[1] + " y"),
+    "axis order": lambda ls, k: ls.__setitem__(0, "# delay_ps: 3 1 2"),
+    "missing axis": lambda ls, k: ls.__delitem__(1),
+    "missing row": lambda ls, k: ls.__delitem__(len(ls) - 1),
+    "short row": lambda ls, k: ls.__setitem__(k, ls[k].rsplit(",", 1)[0]),
+    "nan intensity": lambda ls, k: ls.__setitem__(k, "nan," + ls[k].split(",", 1)[1]),
+}
+
+
+@_HYP
+@given(traces(), layouts(), st.sampled_from(sorted(LONG_DEFECTS)), st.data())
+def test_long_trace_defects_match_reference(tmp_path, trace, lay, defect, data):
+    trace[2][:] = [[abs(v) for v in row] for row in trace[2]]
+    lines = _long_lines(trace, lay)
+    nw = len(trace[1])
+    k = data.draw(st.integers(1, len(lines) - 2))
+    assume(defect not in ("wavelength order", "repeated wavelength") or k % nw != 0)
+    LONG_DEFECTS[defect](lines, k)
+    path = _write_bytes(tmp_path, "bad.csv", _join(lines, lay))
+    expected = _outcome(_ref_load_trace, path, "csv-long", "reject")
+    assert isinstance(expected, tuple) and expected[0] is ParseError
+    assert _outcome(load_trace, path, "csv-long", "reject") == expected
+
+
+@_HYP
+@given(traces(), layouts(), st.sampled_from(sorted(MATRIX_DEFECTS)), st.data())
+def test_matrix_trace_defects_match_reference(tmp_path, trace, lay, defect, data):
+    trace[2][:] = [[abs(v) for v in row] for row in trace[2]]
+    lines = _matrix_lines(trace, lay)
+    k = data.draw(st.integers(3, len(lines) - 1))
+    MATRIX_DEFECTS[defect](lines, k)
+    path = _write_bytes(tmp_path, "bad.csv", _join(lines, lay))
+    expected = _outcome(_ref_load_trace, path, "csv-matrix", "reject")
+    assert isinstance(expected, tuple) and expected[0] is ParseError
+    assert _outcome(load_trace, path, "csv-matrix", "reject") == expected
+
+
+def test_block_mismatch_reported_after_stream_errors(tmp_path):
+    # The reference reports a mismatched block only once every row has
+    # parsed, so a later bad token wins over an earlier short block.
+    text = (
+        "delay_ps,wavelength_nm,intensity\n"
+        "0,780,1\n0,781,1\n1,780,1\n2,780,1\n2,781,oops\n"
+    )
+    path = _write_bytes(tmp_path, "both.csv", text)
+    expected = _outcome(_ref_load_trace, path, "csv-long", "reject")
+    assert expected == (ParseError, f"{path}:6: not a number: 'oops'")
+    assert _outcome(load_trace, path, "csv-long", "reject") == expected
+
+
+# ----------------------------------------------------------- map files
+
+
+def _map_text(m, lay):
+    lines = [dataio.MAP_MAGIC, f"spectrogram delay_ps ang_freq_rad_per_ps scale={m.scale!r}",
+             " ".join(lay.pad(repr(x)) for x in m.tau_axis.tolist()),
+             " ".join(lay.pad(repr(x)) for x in m.omega_axis.tolist())]
+    lines += [" ".join(lay.pad(repr(x)) for x in row) for row in m.values.tolist()]
+    return lay.newline.join(lines) + lay.newline
+
+
+@pytest.fixture(scope="module")
+def small_map():
+    vals = np.random.default_rng(5).random((5, 6))
+    return Spectrogram(0.1 * np.arange(-2, 3), -1.0 + 0.4 * np.arange(6),
+                       vals / vals.max(), 2.5)
+
+
+MAP_DEFECTS = {
+    "bad token": lambda ls, k: ls.__setitem__(k, ls[k] + " 1.0x"),
+    "short row": lambda ls, k: ls.__setitem__(k, " ".join(ls[k].split()[:-1])),
+    "bad axis token": lambda ls, k: ls.__setitem__(3, ls[3] + " z"),
+    "missing row": lambda ls, k: ls.__delitem__(len(ls) - 1),
+    "bad scale": lambda ls, k: ls.__setitem__(1, ls[1] + "e"),
+    "header": lambda ls, k: ls.__setitem__(1, "spectrogram delay_ps"),
+}
+
+
+@_HYP
+@given(layouts(), st.sampled_from(sorted(MAP_DEFECTS) + [None]), st.data())
+def test_load_map_matches_reference(tmp_path, small_map, lay, defect, data):
+    lines = _map_text(small_map, lay).split(lay.newline)[:-1]
+    if defect is not None:
+        MAP_DEFECTS[defect](lines, data.draw(st.integers(4, len(lines) - 1)))
+    path = _write_bytes(tmp_path, "m.chronomap", lay.newline.join(lines) + lay.newline)
+    expected = _outcome(_ref_load_map, path)
+    got = _outcome(load_map, path)
+    if defect is None:
+        kind, ax1, ax2, values, scale = expected
+        assert kind == "spectrogram" and got.scale == scale
+        for a, b in ((got.tau_axis, ax1), (got.omega_axis, ax2), (got.values, values)):
+            assert np.array_equal(a, b)
+    else:
+        assert expected[0] is FormatError or expected[0] is ParseError
+        assert got == expected
+
+
+# --------------------------------------------------- arbitrary inputs
+
+
+def _fuzz_bytes(magic):
+    return st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda b: magic + b),
+    )
+
+
+def _load_any(loader, tmp_path, raw, *args):
+    p = tmp_path / "fuzz.dat"
+    p.write_bytes(raw)
+    try:
+        loader(str(p), *args)
+    except ChronoError:
+        pass
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_bytes(b"delay_ps,wavelength_nm,intensity\n0,780,1\n"),
+       st.sampled_from(["csv-long", "csv-matrix"]), st.sampled_from(["reject", "clamp"]))
+def test_load_trace_arbitrary_bytes_raise_only_chrono_errors(tmp_path, raw, fmt, policy):
+    _load_any(load_trace, tmp_path, raw, fmt, policy)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_bytes(b"CHRONO-MAP v1\nspectrogram delay_ps ang_freq_rad_per_ps scale=1.0\n"))
+def test_load_map_arbitrary_bytes_raise_only_chrono_errors(tmp_path, raw):
+    _load_any(load_map, tmp_path, raw)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_bytes(b"CHRONO-FIELD v1\n16 0.5 -4.0\n"))
+def test_load_field_arbitrary_bytes_raise_only_chrono_errors(tmp_path, raw):
+    _load_any(load_field, tmp_path, raw)
+
+
+# ------------------------------------------------------- data errors
+
+
+def test_non_utf8_bytes_mid_trace_are_parse_errors(tmp_path):
+    # Far enough in that the decoder meets them after yielding lines.
+    rows = "".join(f"{d},{w},1.0\n" for d in range(400) for w in (780, 781))
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"delay_ps,wavelength_nm,intensity\n" + rows.encode() + b"9,780,\xe9\n")
+    with pytest.raises(ParseError, match="latin1.csv: not UTF-8"):
+        load_trace(str(p))
+
+
+def test_non_utf8_field_is_format_error(tmp_path):
+    p = tmp_path / "f.chronofield"
+    p.write_bytes(b"CHRONO-FIELD v1\n16 0.5 -4.0\n\xff\xfe 0\n")
+    with pytest.raises(FormatError, match="f.chronofield"):
+        load_field(str(p))
+
+
+def test_field_grid_and_sample_errors_are_format_errors(tmp_path):
+    p = tmp_path / "g.chronofield"
+    p.write_text("CHRONO-FIELD v1\n12 0.5 -4.0\n" + "0.0 0.0\n" * 12)
+    with pytest.raises(FormatError, match=r"g\.chronofield:2"):
+        load_field(str(p))
+    p.write_text("CHRONO-FIELD v1\n16 0.5 -4.0\n" + "0.0 0.0\n" * 15 + "nan 0.0\n")
+    with pytest.raises(FormatError, match="finite"):
+        load_field(str(p))
+
+
+def test_single_delay_block_is_parse_error(tmp_path):
+    path = _write_bytes(tmp_path, "one.csv",
+                        "delay_ps,wavelength_nm,intensity\n0,780,1\n0,781,2\n")
+    with pytest.raises(ParseError, match=r"one\.csv: trace delay axis"):
+        load_trace(path)
+
+
+# ------------------------------------------------------------ writes
+
+
+def test_format_row_matches_per_element_repr():
+    vals = np.array([0.1, -0.0, 1e-300, 2.5e17, np.pi, 1 / 3])
+    assert dataio._format_row(vals) == " ".join(repr(float(v)) for v in vals)
+    assert dataio._format_row([1, 2]) == "1.0 2.0"
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    g = make_grid(256, 0.04, -5.12)
+    spec = CompassSpec(1.0, OMEGA0, 0.25)
+    f = compass_state(g, spec)
+    m = shg_frog(f, 0.04 * np.arange(-8, 9))
+    return types.SimpleNamespace(
+        field=f, map=m, section=cross_section(m, "delay", 0.0),
+        sweep=sweep_separation(spec, (1.0,), g),
+    )
+
+
+WRITERS = {
+    "save_map": lambda o, p: save_map(o.map, p),
+    "save_map pgm": lambda o, p: save_map(o.map, p, format="pgm"),
+    "save_field": lambda o, p: save_field(o.field, p),
+    "save_report": lambda o, p: save_report(o.sweep, p),
+    "export_plot_data": lambda o, p: export_plot_data(o.section, p),
+    "stamp": lambda o, p: cli._stamp_file(p, True),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, outputs, writer):
+    p = tmp_path / "out.dat"
+    p.write_text("old content\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](outputs, str(p))
+    assert p.read_text() == "old content\n"
+    assert os.listdir(tmp_path) == ["out.dat"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writes_replace_old_file(tmp_path, outputs, writer):
+    p = tmp_path / "out.dat"
+    p.write_text("old content\n")
+    WRITERS[writer](outputs, str(p))
+    assert p.read_bytes() != b"old content\n"
+    assert os.listdir(tmp_path) == ["out.dat"]
+
+
+def test_save_map_failing_mid_way_keeps_old_file(tmp_path, monkeypatch, outputs):
+    p = tmp_path / "m.chronomap"
+    save_map(outputs.map, str(p))
+    before = p.read_bytes()
+    calls = []
+
+    def format_row(values):
+        calls.append(1)
+        if len(calls) == 5:
+            raise MemoryError
+        return " ".join(map(repr, np.asarray(values, float).tolist()))
+
+    monkeypatch.setattr(dataio, "_format_row", format_row)
+    with pytest.raises(MemoryError):
+        save_map(outputs.map, str(p))
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.chronomap"]
+
+
+def test_rejected_format_leaves_no_file(tmp_path, outputs):
+    with pytest.raises(ConfigError):
+        save_map(outputs.map, str(tmp_path / "x"), format="tiff")
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_errors_name_the_target_path(tmp_path, outputs):
+    target = tmp_path / "missing-dir" / "m.chronomap"
+    with pytest.raises(FileNotFoundError) as info:
+        save_map(outputs.map, str(target))
+    assert str(target) in str(info.value) and ".tmp" not in str(info.value)
