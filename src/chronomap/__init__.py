@@ -38,6 +38,7 @@ from .fieldcore import (
 from .transforms import (
     OverlapMap,
     Spectrogram,
+    TimeFrequencyMap,
     WignerMap,
     correspondence_maps,
     correspondence_residual,

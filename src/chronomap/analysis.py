@@ -18,9 +18,8 @@ from .errors import (
     DomainError,
     InsufficientStructureError,
 )
-from .fieldcore import SampleGrid, make_grid
-from .transforms import Spectrogram, WignerMap, shg_frog
-from .fieldcore import CompassSpec, compass_state
+from .fieldcore import CompassSpec, SampleGrid, compass_state
+from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, shg_frog
 
 SUB_FOURIER_LIMIT = 0.5
 
@@ -149,12 +148,10 @@ class SweepPoint:
     message: str = ""
 
 
-def _map_axes(m):
-    if isinstance(m, Spectrogram):
-        return m.tau_axis, m.omega_axis, "delay", "frequency", "intensity"
-    if isinstance(m, WignerMap):
-        return m.q_axis, m.p_axis, "delay", "frequency", "signed"
-    raise ConfigError(f"cannot take cross-sections of {type(m).__name__}")
+def check_noise_floor(noise_floor: float):
+    """Raise :class:`ConfigError` unless ``noise_floor`` lies in [0, 1)."""
+    if not 0 <= noise_floor < 1:
+        raise ConfigError(f"noise_floor must lie in [0, 1), got {noise_floor!r}")
 
 
 def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
@@ -172,18 +169,19 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
         between the two nearest lines; a value on a grid line extracts
         that row or column exactly.
     """
-    ax_t, ax_w, name_t, name_w, kind = _map_axes(m)
-    if axis_choice == name_t:
-        run_axis, held_axis, held_name = ax_t, ax_w, name_w
+    if not isinstance(m, TimeFrequencyMap):
+        raise ConfigError(f"cannot take cross-sections of {type(m).__name__}")
+    if axis_choice == "delay":
+        run_axis, held_axis, held_name = m.time_axis, m.freq_axis, "frequency"
         gather = lambda j, w0, w1: w0 * m.values[:, j] + w1 * m.values[:, j + 1]
         exact = lambda j: m.values[:, j]
-    elif axis_choice == name_w:
-        run_axis, held_axis, held_name = ax_w, ax_t, name_t
+    elif axis_choice == "frequency":
+        run_axis, held_axis, held_name = m.freq_axis, m.time_axis, "delay"
         gather = lambda j, w0, w1: w0 * m.values[j, :] + w1 * m.values[j + 1, :]
         exact = lambda j: m.values[j, :]
     else:
         raise ConfigError(
-            f"axis_choice must be {name_t!r} or {name_w!r}, got {axis_choice!r}"
+            f"axis_choice must be 'delay' or 'frequency', got {axis_choice!r}"
         )
     v = float(fixed_value)
     if not math.isfinite(v):
@@ -203,8 +201,8 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
         values = exact(j + 1)
     else:
         values = gather(j, 1 - frac, frac)
-    return CrossSection(run_axis.copy(), np.array(values, float), kind,
-                        (held_name, v))
+    return CrossSection(run_axis.copy(), np.array(values, float),
+                        "signed" if m.signed else "intensity", (held_name, v))
 
 
 def find_zeros(section: CrossSection, noise_floor: float = DEFAULT_NOISE_FLOOR) -> ZeroSet:
@@ -221,8 +219,7 @@ def find_zeros(section: CrossSection, noise_floor: float = DEFAULT_NOISE_FLOOR) 
     see :data:`DEFAULT_NOISE_FLOOR`) and measured traces (which never
     reach exact zero).
     """
-    if not 0 <= noise_floor < 1:
-        raise ConfigError(f"noise_floor must lie in [0, 1), got {noise_floor!r}")
+    check_noise_floor(noise_floor)
     x = section.axis
     y = section.values
     if x.size < 3:
@@ -330,7 +327,7 @@ def _auto_window(m) -> Window:
     quarter of the axis span; callers that know the synthesis
     parameters should pass an explicit window instead.
     """
-    ax_t, ax_w, *_ = _map_axes(m)
+    ax_t, ax_w = m.time_axis, m.freq_axis
     c_t = 0.0 if ax_t[0] <= 0 <= ax_t[-1] else (ax_t[0] + ax_t[-1]) / 2
     c_w = 0.0 if ax_w[0] <= 0 <= ax_w[-1] else (ax_w[0] + ax_w[-1]) / 2
     mid_t = np.abs(cross_section(m, "delay", c_w).values)
@@ -340,9 +337,9 @@ def _auto_window(m) -> Window:
     return Window(c_t, half_t, c_w, half_w)
 
 
-def _windowed_section(m, axis_choice, center, lo, hi) -> CrossSection:
-    sec = cross_section(m, axis_choice, center)
-    keep = (sec.axis >= lo) & (sec.axis <= hi)
+def _windowed_section(m, axis_choice, held, center, halfwidth) -> CrossSection:
+    sec = cross_section(m, axis_choice, held)
+    keep = (sec.axis >= center - halfwidth) & (sec.axis <= center + halfwidth)
     if np.count_nonzero(keep) < 3:
         raise InsufficientStructureError(
             "window spans fewer than 3 samples along the "
@@ -353,16 +350,10 @@ def _windowed_section(m, axis_choice, center, lo, hi) -> CrossSection:
 
 
 def _windowed_zero_pair(m, window, noise_floor):
-    sec_t = _windowed_section(
-        m, "delay", window.omega_center,
-        window.tau_center - window.tau_halfwidth,
-        window.tau_center + window.tau_halfwidth,
-    )
-    sec_w = _windowed_section(
-        m, "frequency", window.tau_center,
-        window.omega_center - window.omega_halfwidth,
-        window.omega_center + window.omega_halfwidth,
-    )
+    sec_t = _windowed_section(m, "delay", window.omega_center,
+                              window.tau_center, window.tau_halfwidth)
+    sec_w = _windowed_section(m, "frequency", window.tau_center,
+                              window.omega_center, window.omega_halfwidth)
     zt = find_zeros(sec_t, noise_floor).positions
     zw = find_zeros(sec_w, noise_floor).positions
     return zt, zw
@@ -436,7 +427,7 @@ def sweep_separation(base: CompassSpec, t0_values, grid: SampleGrid | None = Non
     rather than raised, so a partial series survives bad points.
     """
     if grid is None:
-        grid = make_grid(2048, 0.02, -20.48)
+        grid = SampleGrid(2048, 0.02, -20.48)
     points = []
     for t0 in t0_values:
         t0 = float(t0)
@@ -480,10 +471,10 @@ def compare_maps(a, b) -> float:
     axis ranges (step: the finer of the two per axis), peak-normalized,
     and scored by the correlation of the overlapping patches.
     """
-    if type(a) is not type(b):
+    if type(a) is not type(b) or not isinstance(a, TimeFrequencyMap):
         raise ConfigError("compare_maps needs two maps of the same type")
-    ax_t_a, ax_w_a, *_ = _map_axes(a)
-    ax_t_b, ax_w_b, *_ = _map_axes(b)
+    ax_t_a, ax_w_a = a.time_axis, a.freq_axis
+    ax_t_b, ax_w_b = b.time_axis, b.freq_axis
     patches = []
     lo_t, hi_t = max(ax_t_a[0], ax_t_b[0]), min(ax_t_a[-1], ax_t_b[-1])
     lo_w, hi_w = max(ax_w_a[0], ax_w_b[0]), min(ax_w_a[-1], ax_w_b[-1])

@@ -16,10 +16,10 @@ from array import array
 
 import numpy as np
 
-from .analysis import CellAreaReport, CrossSection, SweepPoint, Window
+from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoint
 from .errors import CalibrationError, ConfigError, FormatError, ParseError
 from .fieldcore import ComplexField, SampleGrid
-from .transforms import Spectrogram, WignerMap
+from .transforms import Spectrogram, TimeFrequencyMap, WignerMap
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 SPEED_OF_LIGHT_NM_PER_PS = 299792.458
@@ -27,11 +27,7 @@ SPEED_OF_LIGHT_NM_PER_PS = 299792.458
 MAP_MAGIC = "CHRONO-MAP v1"
 FIELD_MAGIC = "CHRONO-FIELD v1"
 
-_MAP_KINDS = {"spectrogram": Spectrogram, "wigner": WignerMap}
-_MAP_AXES = {
-    "spectrogram": ("delay_ps", "ang_freq_rad_per_ps"),
-    "wigner": ("time_ps", "ang_freq_rad_per_ps"),
-}
+_MAP_TYPES = {cls.kind: cls for cls in (Spectrogram, WignerMap)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,23 +364,18 @@ def atomic_open(path, mode: str = "w"):
 
 def save_map(m, path, format: str = "native"):
     """Write a map as native text (lossless) or a PGM raster (lossy)."""
-    if isinstance(m, Spectrogram):
-        kind, (ax1, ax2) = "spectrogram", (m.tau_axis, m.omega_axis)
-    elif isinstance(m, WignerMap):
-        kind, (ax1, ax2) = "wigner", (m.q_axis, m.p_axis)
-    else:
+    if not isinstance(m, TimeFrequencyMap):
         raise ConfigError(f"cannot save {type(m).__name__} maps")
     if format == "pgm":
         _save_pgm(m.values, path)
         return
     if format != "native":
         raise ConfigError(f"unknown map format {format!r}")
-    names = _MAP_AXES[kind]
     with atomic_open(path) as fh:
         fh.write(MAP_MAGIC + "\n")
-        fh.write(f"{kind} {names[0]} {names[1]} scale={repr(float(m.scale))}\n")
-        fh.write(_format_row(ax1) + "\n")
-        fh.write(_format_row(ax2) + "\n")
+        fh.write(f"{m.kind} {m.file_axes} scale={repr(float(m.scale))}\n")
+        fh.write(_format_row(m.time_axis) + "\n")
+        fh.write(_format_row(m.freq_axis) + "\n")
         for row in m.values:
             fh.write(_format_row(row) + "\n")
 
@@ -416,24 +407,24 @@ def load_map(path):
     if len(header) != 4 or not header[3].startswith("scale="):
         raise FormatError(f"{path}:2: malformed map header")
     kind = header[0]
-    if kind not in _MAP_KINDS:
+    if kind not in _MAP_TYPES:
         raise FormatError(f"{path}:2: unknown map kind {kind!r}")
     scale = _parse_float(header[3][len("scale="):], path, 2)
     ax1 = np.array(_parse_floats(lines[2].split(), path, 3))
     ax2 = np.array(_parse_floats(lines[3].split(), path, 4))
-    rows = [ln for ln in lines[4:] if ln.strip()]
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines[4:], 5) if ln.strip()]
     if len(rows) != ax1.size:
         raise FormatError(
             f"{path}: expected {ax1.size} value rows, found {len(rows)} (truncated?)"
         )
     values = np.empty((ax1.size, ax2.size))
-    for i, ln in enumerate(rows):
-        row = _parse_floats(ln.split(), path, 5 + i)
+    for i, (lineno, ln) in enumerate(rows):
+        row = _parse_floats(ln.split(), path, lineno)
         if len(row) != ax2.size:
-            raise FormatError(f"{path}:{5 + i}: expected {ax2.size} values per row")
+            raise FormatError(f"{path}:{lineno}: expected {ax2.size} values per row")
         values[i] = row
     try:
-        return _MAP_KINDS[kind](ax1, ax2, values, scale)
+        return _MAP_TYPES[kind](ax1, ax2, values, scale)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -471,16 +462,16 @@ def load_field(path) -> ComplexField:
         grid = SampleGrid(n, dt, t_start)
     except ConfigError as exc:
         raise FormatError(f"{path}:2: {exc}") from None
-    rows = [ln for ln in lines[2:] if ln.strip()]
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines[2:], 3) if ln.strip()]
     if len(rows) != n:
         raise FormatError(f"{path}: expected {n} sample rows, found {len(rows)}")
     samples = np.empty(n, complex)
-    for i, ln in enumerate(rows):
+    for i, (lineno, ln) in enumerate(rows):
         parts = ln.split()
         if len(parts) != 2:
-            raise FormatError(f"{path}:{3 + i}: expected 're im'")
+            raise FormatError(f"{path}:{lineno}: expected 're im'")
         samples[i] = complex(
-            _parse_float(parts[0], path, 3 + i), _parse_float(parts[1], path, 3 + i)
+            _parse_float(parts[0], path, lineno), _parse_float(parts[1], path, lineno)
         )
     try:
         return ComplexField(grid, samples)
@@ -489,15 +480,6 @@ def load_field(path) -> ComplexField:
 
 
 # --------------------------------------------------------------- exports
-
-
-def _window_dict(w: Window):
-    return {
-        "tau_center": w.tau_center,
-        "tau_halfwidth": w.tau_halfwidth,
-        "omega_center": w.omega_center,
-        "omega_halfwidth": w.omega_halfwidth,
-    }
 
 
 def report_to_json(obj) -> str:
@@ -510,13 +492,13 @@ def report_to_json(obj) -> str:
             "cell_areas": list(obj.cell_areas),
             "mean_area": obj.mean_area,
             "sub_fourier": obj.sub_fourier,
-            "limit": 0.5,
-            "window": _window_dict(obj.window),
+            "limit": SUB_FOURIER_LIMIT,
+            "window": dataclasses.asdict(obj.window),
         }
     elif _is_sweep(obj):
         payload = {
             "kind": "separation-sweep",
-            "limit": 0.5,
+            "limit": SUB_FOURIER_LIMIT,
             "points": [
                 {
                     "t0_ps": p.t0,
@@ -542,14 +524,17 @@ def save_report(obj, path):
         fh.write(report_to_json(obj) + "\n")
 
 
-def export_plot_data(obj, path):
+def export_plot_data(obj, path, header: str = "", footer: str = ""):
     """Write plain columnar text for external plotting.
 
     Cross-sections export two columns; cell-area reports export their
     spacing and area blocks plus a summary line; sweep series export
-    one row per separation with a constant 0.5 limit column.
+    one row per separation with a constant 0.5 limit column. Text in
+    ``header`` and ``footer`` goes before and after the data, in the
+    same atomic write.
     """
     with atomic_open(path) as fh:
+        fh.write(header)
         if isinstance(obj, CrossSection):
             held, value = obj.fixed_coordinate
             fh.write(f"# cross-section, {obj.kind}, {held} held at {value!r}\n")
@@ -566,13 +551,14 @@ def export_plot_data(obj, path):
             for a in obj.cell_areas:
                 fh.write(repr(float(a)) + "\n")
             fh.write(
-                f"# mean {obj.mean_area!r} sub_fourier {obj.sub_fourier!r} limit 0.5\n"
+                f"# mean {obj.mean_area!r} sub_fourier {obj.sub_fourier!r} limit {SUB_FOURIER_LIMIT!r}\n"
             )
         elif _is_sweep(obj):
             fh.write("# separation sweep\n")
             fh.write("# t0_ps mean_area limit status\n")
             for p in obj:
                 mean = "nan" if p.mean_area is None else repr(float(p.mean_area))
-                fh.write(f"{repr(float(p.t0))} {mean} 0.5 {p.status}\n")
+                fh.write(f"{repr(float(p.t0))} {mean} {SUB_FOURIER_LIMIT!r} {p.status}\n")
         else:
             raise ConfigError(f"cannot export {type(obj).__name__} as plot data")
+        fh.write(footer)

@@ -8,7 +8,10 @@ quantity does not exist).
 
 
 class ChronoError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; one argument per problem."""
+
+    def __str__(self):
+        return "; ".join(map(str, self.args))
 
 
 class ConfigError(ChronoError):

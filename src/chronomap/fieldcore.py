@@ -70,12 +70,15 @@ class SampleGrid:
     t_start: float
 
     def __post_init__(self):
+        problems = []  # every one is reported, each naming its parameter first
         if not isinstance(self.n, (int, np.integer)) or self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"grid size must be a power of two >= 16, got {self.n!r}")
+            problems.append(f"n must be a power of two >= 16, got {self.n!r}")
         if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"grid step must be a positive finite number, got {self.dt!r}")
+            problems.append(f"dt must be a positive finite number, got {self.dt!r}")
         if not (isinstance(self.t_start, (int, float)) and math.isfinite(self.t_start)):
-            raise ConfigError(f"grid start must be finite, got {self.t_start!r}")
+            problems.append(f"t_start must be finite, got {self.t_start!r}")
+        if problems:
+            raise ConfigError(*problems)
 
     @property
     def dw(self) -> float:
@@ -126,28 +129,7 @@ class SampleGrid:
         return int(s)
 
 
-def make_grid(n: int, dt: float, t_start: float) -> SampleGrid:
-    """Construct a :class:`SampleGrid`.
-
-    Parameters
-    ----------
-    n : int
-        Power-of-two sample count, >= 16.
-    dt : float
-        Time step in ps, > 0.
-    t_start : float
-        First sample time in ps.
-
-    Returns
-    -------
-    SampleGrid
-
-    Raises
-    ------
-    ConfigError
-        On a non-power-of-two count or non-positive step.
-    """
-    return SampleGrid(n=n, dt=dt, t_start=t_start)
+make_grid = SampleGrid  # make_grid(n, dt, t_start) builds the same grid
 
 
 @dataclass(frozen=True)
@@ -284,20 +266,23 @@ class CompassSpec:
     FREQ_SIGNS = (-1.0, -1.0, +1.0, +1.0)
 
     def __post_init__(self):
+        problems = []  # every one is reported, each naming its parameter first
         for name in ("t0", "omega0", "sigma"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ConfigError(f"compass {name} must be positive, got {v!r}")
+                problems.append(f"{name} must be positive, got {v!r}")
         amps = tuple(float(a) for a in self.amplitudes)
         phis = tuple(float(p) for p in self.phases)
         if len(amps) != 4 or len(phis) != 4:
-            raise ConfigError("compass states take exactly four amplitudes and four phases")
-        if not all(math.isfinite(a) and a >= 0 for a in amps):
-            raise ConfigError("compass amplitudes must be finite and >= 0")
-        if not any(a > 0 for a in amps):
-            raise ConfigError("at least one compass amplitude must be positive")
+            problems.append("amplitudes and phases must hold four values each")
+        elif not all(math.isfinite(a) and a >= 0 for a in amps):
+            problems.append("amplitudes must be finite and >= 0")
+        elif not any(a > 0 for a in amps):
+            problems.append("amplitudes must include a positive value")
         if not all(math.isfinite(p) for p in phis):
-            raise ConfigError("compass phases must be finite")
+            problems.append("phases must be finite")
+        if problems:
+            raise ConfigError(*problems)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "phases", phis)
 
@@ -318,12 +303,15 @@ class ShaperMask:
     block_halfwidth: float = 0.0
 
     def __post_init__(self):
+        problems = []  # every one is reported, each naming its parameter first
         if not (math.isfinite(self.mask_t0) and self.mask_t0 >= 0):
-            raise ConfigError(f"mask delay must be >= 0, got {self.mask_t0!r}")
+            problems.append(f"mask_t0 must be >= 0, got {self.mask_t0!r}")
         if not (math.isfinite(self.block_halfwidth) and self.block_halfwidth >= 0):
-            raise ConfigError(f"block halfwidth must be >= 0, got {self.block_halfwidth!r}")
+            problems.append(f"block_halfwidth must be >= 0, got {self.block_halfwidth!r}")
         if not math.isfinite(self.block_center):
-            raise ConfigError("block center must be finite")
+            problems.append(f"block_center must be finite, got {self.block_center!r}")
+        if problems:
+            raise ConfigError(*problems)
 
 
 def _check_time_span(grid: SampleGrid, lo: float, hi: float, what: str):

@@ -60,6 +60,7 @@ from .errors import ComputeError, ConfigError, DomainError
 from .fieldcore import ComplexField, energy, spectral_support, spectrum, upsample2
 
 __all__ = [
+    "TimeFrequencyMap",
     "Spectrogram",
     "WignerMap",
     "OverlapMap",
@@ -69,6 +70,7 @@ __all__ = [
     "quadrature_oracle_wigner",
     "overlap_map",
     "correspondence_residual",
+    "check_sampling",
 ]
 
 # Imaginary residue above this fraction of the map peak means the Wigner
@@ -123,74 +125,64 @@ def _check_axis(name: str, axis: np.ndarray):
 
 
 @dataclass(frozen=True)
-class Spectrogram:
-    """Delay-frequency intensity map.
+class TimeFrequencyMap:
+    """Map on a time-like and a frequency-like axis, both uniform and increasing.
 
-    ``values[i, j]`` is the intensity at ``(tau_axis[i], omega_axis[j])``
-    with the frequency axis relative to the SHG reference (twice the
-    field's reference carrier). Values are peak normalized; ``scale``
-    is the raw peak so ``values * scale`` restores raw intensities
-    (``scale == 0`` marks an identically zero map stored raw).
+    ``values[i, j]`` belongs to ``(time_axis[i], freq_axis[j])``; values are
+    peak normalized and ``scale`` is the raw peak (``scale == 0`` marks an
+    identically zero map stored raw). Each subclass sets its file ``kind``
+    and ``file_axes``, whether it is ``signed``, and its own axis names.
     """
 
-    tau_axis: np.ndarray
-    omega_axis: np.ndarray
+    time_axis: np.ndarray
+    freq_axis: np.ndarray
     values: np.ndarray
     scale: float
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_axis, dtype=np.float64)
-        om = np.asarray(self.omega_axis, dtype=np.float64)
+        t = np.asarray(self.time_axis, dtype=np.float64)
+        w = np.asarray(self.freq_axis, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
-        _check_axis("tau_axis", tau)
-        _check_axis("omega_axis", om)
-        if v.shape != (tau.size, om.size):
+        _check_axis("time_axis", t)
+        _check_axis("freq_axis", w)
+        if v.shape != (t.size, w.size):
             raise ConfigError(
-                f"values shape {v.shape} does not match axes ({tau.size}, {om.size})"
+                f"values shape {v.shape} does not match axes ({t.size}, {w.size})"
             )
         if not np.all(np.isfinite(v)):
-            raise ConfigError("spectrogram values must be finite")
-        if np.any(v < 0):
-            raise ConfigError("spectrogram values must be non-negative")
+            raise ConfigError(f"{self.kind} values must be finite")
+        if not self.signed and np.any(v < 0):
+            raise ConfigError(f"{self.kind} values must be non-negative")
         if not (math.isfinite(self.scale) and self.scale >= 0):
             raise ConfigError(f"scale must be >= 0, got {self.scale!r}")
-        object.__setattr__(self, "tau_axis", _freeze(tau))
-        object.__setattr__(self, "omega_axis", _freeze(om))
+        object.__setattr__(self, "time_axis", _freeze(t))
+        object.__setattr__(self, "freq_axis", _freeze(w))
         object.__setattr__(self, "values", _freeze(v))
         object.__setattr__(self, "scale", float(self.scale))
 
 
-@dataclass(frozen=True)
-class WignerMap:
-    """Signed phase-space map on (q, p) axes.
+class Spectrogram(TimeFrequencyMap):
+    """Delay-frequency intensity map on ``(tau_axis, omega_axis)``.
 
-    Values are peak normalized by the raw ``max |W|`` stored in
-    ``scale`` (``scale == 0`` marks an identically zero map stored raw).
+    The frequency axis is relative to the SHG reference (twice the
+    field's reference carrier); values are non-negative intensities.
     """
 
-    q_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray
-    scale: float
+    kind = "spectrogram"
+    file_axes = "delay_ps ang_freq_rad_per_ps"
+    signed = False
+    tau_axis = property(lambda self: self.time_axis)
+    omega_axis = property(lambda self: self.freq_axis)
 
-    def __post_init__(self):
-        q = np.asarray(self.q_axis, dtype=np.float64)
-        p = np.asarray(self.p_axis, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        _check_axis("q_axis", q)
-        _check_axis("p_axis", p)
-        if v.shape != (q.size, p.size):
-            raise ConfigError(
-                f"values shape {v.shape} does not match axes ({q.size}, {p.size})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigError("Wigner values must be finite")
-        if not (math.isfinite(self.scale) and self.scale >= 0):
-            raise ConfigError(f"scale must be >= 0, got {self.scale!r}")
-        object.__setattr__(self, "q_axis", _freeze(q))
-        object.__setattr__(self, "p_axis", _freeze(p))
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "scale", float(self.scale))
+
+class WignerMap(TimeFrequencyMap):
+    """Signed phase-space map on ``(q_axis, p_axis)``, scaled by the raw ``max |W|``."""
+
+    kind = "wigner"
+    file_axes = "time_ps ang_freq_rad_per_ps"
+    signed = True
+    q_axis = property(lambda self: self.time_axis)
+    p_axis = property(lambda self: self.freq_axis)
 
 
 @dataclass(frozen=True)
@@ -221,7 +213,14 @@ class OverlapMap:
         object.__setattr__(self, "values", _freeze(v))
 
 
-def _check_half_nyquist(field: ComplexField, what: str):
+def check_sampling(field: ComplexField, tau_axis=None, what: str = "transform"):
+    """Check that a field can feed the quadratic transforms; snap delays.
+
+    Raises :class:`ConfigError` naming ``what`` when the field's spectrum
+    reaches past half the Nyquist range, where its products would alias.
+    Given a ``tau_axis``, each delay is snapped to the sample lattice (see
+    :meth:`SampleGrid.delay_steps`) and ``(delays, steps)`` is returned.
+    """
     g = field.grid
     limit = math.pi / (2.0 * g.dt)
     support = spectral_support(field)
@@ -231,6 +230,13 @@ def _check_half_nyquist(field: ComplexField, what: str):
             f"Nyquist range ({limit:g} rad/ps); quadratic products would alias. "
             "Reduce dt."
         )
+    if tau_axis is None:
+        return None
+    taus = np.atleast_1d(np.asarray(tau_axis, dtype=np.float64))
+    if taus.ndim != 1 or taus.size == 0:
+        raise ConfigError("tau_axis must be a nonempty 1D array")
+    steps = [g.delay_steps(tau) for tau in taus]
+    return np.array([s * g.dt for s in steps]), steps
 
 
 def _windows(v: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
@@ -288,14 +294,6 @@ def _shift_pairs(m: int):
     return ((slice(h, None), slice(None, h)), (slice(None, h), slice(h, None)))
 
 
-def _snap_taus(field: ComplexField, tau_axis) -> tuple[np.ndarray, list]:
-    taus = np.atleast_1d(np.asarray(tau_axis, dtype=np.float64))
-    if taus.ndim != 1 or taus.size == 0:
-        raise ConfigError("tau_axis must be a nonempty 1D array")
-    steps = [field.grid.delay_steps(tau) for tau in taus]
-    return np.array([s * field.grid.dt for s in steps]), steps
-
-
 def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
     """SHG FROG spectrogram via product-then-FFT.
 
@@ -311,8 +309,7 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
         grid span, and the snapped set must be strictly increasing and
         uniform.
     """
-    _check_half_nyquist(field, "shg_frog")
-    taus, steps = _snap_taus(field, tau_axis)
+    taus, steps = check_sampling(field, tau_axis, "shg_frog")
     g = field.grid
     n = g.n
     E = field.samples
@@ -341,8 +338,7 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     evaluated as explicit sums over the time samples for an arbitrary
     uniform ``omega_axis``. O(N^2) per delay; intended for modest grids.
     """
-    _check_half_nyquist(field, "quadrature_oracle_frog")
-    taus, steps = _snap_taus(field, tau_axis)
+    taus, steps = check_sampling(field, tau_axis, "quadrature_oracle_frog")
     g = field.grid
     w = np.atleast_1d(np.asarray(omega_axis, dtype=np.float64))
     _check_axis("omega_axis", w)
@@ -437,7 +433,7 @@ def wigner(field: ComplexField) -> WignerMap:
     returned after checking the imaginary residue stays below 1e-10 of
     the map peak.
     """
-    _check_half_nyquist(field, "wigner")
+    check_sampling(field, what="wigner")
     g = field.grid
     n = g.n
     M = 2 * n
@@ -458,7 +454,7 @@ def quadrature_oracle_wigner(field: ComplexField) -> WignerMap:
     kernel is applied as a dense matrix product. O(N^3); intended for
     modest grids.
     """
-    _check_half_nyquist(field, "quadrature_oracle_wigner")
+    check_sampling(field, what="quadrature_oracle_wigner")
     g = field.grid
     n = g.n
     n2 = 2 * n

@@ -1,0 +1,82 @@
+"""CLI validation table: one row per option rule, with its exit code and the
+flag the error message must name."""
+
+import pytest
+from click.testing import CliRunner
+
+from chronomap.cli import main
+
+SIM = ("simulate", "--dry-run", "--out", "unused.chronofield")
+
+# (id, arguments, exit code, flag named in the message)
+ROWS = [
+    ("n", (*SIM, "--n", "100"), 2, "--n"),
+    ("dt", (*SIM, "--dt", "-0.5"), 2, "--dt"),
+    ("dt-zero", (*SIM, "--dt", "0"), 2, "--dt"),
+    ("t-start", (*SIM, "--t-start", "nan"), 2, "--t-start"),
+    ("t0", (*SIM, "--t0", "-1"), 2, "--t0"),
+    ("t0-zero", (*SIM, "--t0", "0"), 2, "--t0"),
+    ("t0-zero-gaussian", (*SIM, "--state", "gaussian", "--t0", "0"), 2, "--t0"),
+    ("omega0", (*SIM, "--omega0-over-pi-THz", "0"), 2, "--omega0-over-pi-THz"),
+    ("omega0-nan", (*SIM, "--omega0-over-pi-THz", "nan"), 2, "--omega0-over-pi-THz"),
+    ("sigma", (*SIM, "--sigma", "0"), 2, "--sigma"),
+    ("sigma-gaussian", (*SIM, "--state", "gaussian", "--sigma", "-1"), 2, "--sigma"),
+    ("amplitudes-count", (*SIM, "--amplitudes", "1,1,1"), 2, "--amplitudes"),
+    ("amplitudes-text", (*SIM, "--amplitudes", "1,x,1,1"), 2, "--amplitudes"),
+    ("amplitudes-negative", (*SIM, "--amplitudes", "1,1,1,-1"), 2, "--amplitudes"),
+    ("amplitudes-zero", (*SIM, "--amplitudes", "0,0,0,0"), 2, "--amplitudes"),
+    ("amplitudes-zero-chirped",
+     (*SIM, "--state", "chirped", "--amplitudes", "0,0,0,0"), 2, "--amplitudes"),
+    ("phases-count", (*SIM, "--phases", "0,0"), 2, "--phases"),
+    ("phases-nan", (*SIM, "--phases", "0,0,0,nan"), 2, "--phases"),
+    ("chirp", (*SIM, "--state", "chirped", "--chirp", "inf"), 2, "--chirp"),
+    ("chirp-compass", (*SIM, "--chirp", "nan"), 2, "--chirp"),
+    ("noise-floor", ("areas", "--dry-run", "--out", "unused.json",
+                     "--noise-floor", "1.5"), 2, "--noise-floor"),
+    ("noise-floor-negative", ("sweep", "--dry-run", "--out", "unused.dat",
+                              "--noise-floor", "-0.1"), 2, "--noise-floor"),
+    ("mask-t0", (*SIM, "--mask-t0", "-1"), 2, "--mask-t0"),
+    ("block-halfwidth", (*SIM, "--block-halfwidth", "-1"), 2, "--block-halfwidth"),
+    ("block-center", (*SIM, "--block-center", "nan", "--block-halfwidth", "1"), 2,
+     "--block-center"),
+    ("block-center-unshaped", (*SIM, "--block-center", "nan"), 2, "--block-center"),
+    ("tau-span", ("frog", "--dry-run", "--out", "unused.chronomap",
+                  "--tau-span", "0"), 2, "--tau-span"),
+    ("t0-list", ("sweep", "--dry-run", "--out", "unused.dat",
+                 "--t0-list", "1,-2"), 2, "--t0-list"),
+    ("t0-list-text", ("sweep", "--dry-run", "--out", "unused.dat",
+                      "--t0-list", "1,two"), 2, "--t0-list"),
+    ("window-count", ("areas", "--dry-run", "--out", "unused.json",
+                      "--window", "0,1,0"), 2, "--window"),
+    ("window-halfwidth", ("areas", "--dry-run", "--out", "unused.json",
+                          "--window", "0,1,0,0"), 2, "--window"),
+    ("valid-compass", SIM, 0, None),
+    ("valid-gaussian", (*SIM, "--state", "gaussian"), 0, None),
+    ("valid-shaped", (*SIM, "--mask-t0", "1", "--block-halfwidth", "0.5"), 0, None),
+]
+
+
+@pytest.mark.parametrize("args,code,flag", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
+def test_option_rule(tmp_path, monkeypatch, args, code, flag):
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == code, result.output
+    if flag is None:
+        assert "dry-run ok" in result.output
+    else:
+        assert result.output.count("error:") == 1
+        assert flag in result.output, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_several_bad_options_each_get_their_own_message():
+    result = CliRunner().invoke(main, [
+        "frog", "--dry-run", "--out", "unused.chronomap", "--n", "100",
+        "--dt", "-0.5", "--sigma", "0", "--t0", "-1", "--chirp", "inf",
+    ])
+    assert result.exit_code == 2
+    text = result.output
+    assert text.count("error:") == 1
+    problems = text.split("invalid configuration:", 1)[1].strip().split("; ")
+    for flag in ("--n", "--dt", "--sigma", "--t0", "--chirp"):
+        assert sum(p.startswith(flag + " ") for p in problems) == 1, (flag, problems)

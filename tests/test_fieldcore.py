@@ -245,6 +245,22 @@ def test_compass_spec_validation():
         CompassSpec(2.0, OMEGA0, SIGMA, amplitudes=(1, 1, 1, -1))
 
 
+def test_specs_report_every_problem_in_one_error():
+    cases = [
+        (lambda: SampleGrid(100, -0.5, float("nan")), ["n", "dt", "t_start"]),
+        (lambda: CompassSpec(0.0, -1.0, 0.25, amplitudes=(0, 0, 0, 0),
+                             phases=(0, 0, 0, float("nan"))),
+         ["t0", "omega0", "amplitudes", "phases"]),
+        (lambda: ShaperMask(-1.0, float("inf"), -1.0),
+         ["mask_t0", "block_halfwidth", "block_center"]),
+    ]
+    for build, names in cases:
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert [problem.split()[0] for problem in info.value.args] == names
+        assert str(info.value) == "; ".join(info.value.args)
+
+
 # ---------------------------------------------------------------- shaper
 
 

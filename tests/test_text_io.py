@@ -1,13 +1,16 @@
 """Text I/O tests: streamed trace and map parsing against the line-list
 parsers they replaced, arbitrary-byte inputs, and atomic writes."""
 
+import contextlib
 import os
+import re
 import types
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from click.testing import CliRunner
 
 import chronomap.cli as cli
 from chronomap import (
@@ -474,6 +477,35 @@ def test_field_grid_and_sample_errors_are_format_errors(tmp_path):
         load_field(str(p))
 
 
+MAP_HEAD = "CHRONO-MAP v1\nspectrogram delay_ps ang_freq_rad_per_ps scale=1.0\n0.0 0.5\n0 1 2 3\n"
+
+
+@pytest.mark.parametrize("row,error,message", [
+    ("0.5 bad 1 1", ParseError, "not a number: 'bad'"),
+    ("0.5 1 1", FormatError, "expected 4 values per row"),
+])
+def test_map_errors_name_the_physical_line(tmp_path, row, error, message):
+    # line 5 holds the first row, line 6 is blank, line 7 the bad row
+    path = _write_bytes(tmp_path, "blank.chronomap", MAP_HEAD + "1 1 1 1\n\n" + row + "\n")
+    with pytest.raises(error) as info:
+        load_map(path)
+    assert str(info.value) == f"{path}:7: {message}"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0.0 x", "not a number: 'x'"),
+    ("0.0", "expected 're im'"),
+])
+def test_field_errors_name_the_physical_line(tmp_path, row, message):
+    # samples start on line 3; blank lines 4 and 6 put the bad row on line 7
+    rows = ["0.0 0.0", "", "0.0 0.0", "", row] + ["0.0 0.0"] * 13
+    path = _write_bytes(tmp_path, "blank.chronofield",
+                        "CHRONO-FIELD v1\n16 0.5 -4.0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError if "re im" in message else ParseError) as info:
+        load_field(path)
+    assert str(info.value) == f"{path}:7: {message}"
+
+
 def test_single_delay_block_is_parse_error(tmp_path):
     path = _write_bytes(tmp_path, "one.csv",
                         "delay_ps,wavelength_nm,intensity\n0,780,1\n0,781,2\n")
@@ -508,7 +540,7 @@ WRITERS = {
     "save_field": lambda o, p: save_field(o.field, p),
     "save_report": lambda o, p: save_report(o.sweep, p),
     "export_plot_data": lambda o, p: export_plot_data(o.section, p),
-    "stamp": lambda o, p: cli._stamp_file(p, True),
+    "stamp": lambda o, p: cli._export(o.section, p, stamp=True),
 }
 
 
@@ -553,6 +585,62 @@ def test_save_map_failing_mid_way_keeps_old_file(tmp_path, monkeypatch, outputs)
         save_map(outputs.map, str(p))
     assert p.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.chronomap"]
+
+
+class _FailingFooter:
+    """A write handle that fails on the ``# zeros:`` footer of a cross-section."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        if text.startswith("# zeros:"):
+            raise OSError("disk full")
+        return self.fh.write(text)
+
+
+def test_crosscut_footer_failure_keeps_old_file(tmp_path, monkeypatch, outputs):
+    src = tmp_path / "m.chronomap"
+    save_map(outputs.map, str(src))
+    out = tmp_path / "cut.dat"
+    out.write_text("old content\n")
+    real_open = dataio.atomic_open
+
+    @contextlib.contextmanager
+    def failing_open(path, mode="w"):
+        with real_open(path, mode) as fh:
+            yield _FailingFooter(fh)
+
+    monkeypatch.setattr(dataio, "atomic_open", failing_open)
+    result = CliRunner().invoke(cli.main, ["crosscut", "--input", str(src),
+                                           "--axis", "delay", "--out", str(out)])
+    assert result.exit_code == 5, result.output
+    assert "disk full" in result.output
+    assert out.read_text() == "old content\n"
+    assert sorted(os.listdir(tmp_path)) == ["cut.dat", "m.chronomap"]
+
+
+@pytest.mark.parametrize("command", ["crosscut", "figure 5a"])
+def test_stamp_adds_one_line_before_the_same_bytes(tmp_path, outputs, command):
+    src = tmp_path / "m.chronomap"
+    save_map(outputs.map, str(src))
+    bodies = []
+    for stamp in ([], ["--stamp"]):
+        out = tmp_path / f"out{len(bodies)}"
+        if command == "crosscut":
+            args = ["crosscut", "--input", str(src), "--axis", "delay",
+                    "--out", str(out / "cut.dat"), *stamp]
+            out.mkdir()
+        else:
+            args = [*stamp, "--figure", "5a", "--out", str(out)]
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+        name = "cut.dat" if command == "crosscut" else "fig5a_areas.dat"
+        bodies.append((out / name).read_bytes())
+    plain, stamped = bodies
+    first, rest = stamped.split(b"\n", 1)
+    assert re.fullmatch(rb"# generated \d{4}-\d\d-\d\dT[\d:.]+\+00:00", first), first
+    assert rest == plain
 
 
 def test_rejected_format_leaves_no_file(tmp_path, outputs):
