@@ -17,6 +17,7 @@ from .errors import (
     DataError,
     DomainError,
     InsufficientStructureError,
+    check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
 from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, shg_frog
@@ -53,6 +54,7 @@ class Window:
     omega_halfwidth: float
 
     def __post_init__(self):
+        check_real(self)
         for name in ("tau_center", "tau_halfwidth", "omega_center", "omega_halfwidth"):
             v = getattr(self, name)
             if not math.isfinite(v):

@@ -3,8 +3,12 @@
 Three broad families map onto the CLI exit codes: configuration errors
 (bad parameters or requests), data errors (unusable input files or
 samples), and compute errors (valid inputs on which the requested
-quantity does not exist).
+quantity does not exist). ``check_real`` is the type check that the
+parameter dataclasses share.
 """
+
+import dataclasses
+import numbers
 
 
 class ChronoError(Exception):
@@ -52,3 +56,19 @@ class ComputeError(ChronoError):
 
 class InsufficientStructureError(ComputeError):
     """A map lacks the interference structure the analysis requires."""
+
+
+def check_real(spec, sequences=()):
+    """Raise one ConfigError naming each field of the dataclass ``spec`` that
+    is not a real number (for the fields in ``sequences``: real numbers)."""
+    bad = []
+    for f in dataclasses.fields(spec):
+        v, many = getattr(spec, f.name), f.name in sequences
+        try:
+            ok = all(isinstance(x, numbers.Real) for x in (v if many else (v,)))
+        except TypeError:  # a sequence field that is not iterable
+            ok = False
+        if not ok:
+            bad.append(f"{f.name} must be {'real numbers' if many else 'a real number'}, got {v!r}")
+    if bad:
+        raise ConfigError(*bad)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapingError, SynthesisError
+from .errors import ConfigError, DomainError, ShapingError, SynthesisError, check_real
 
 __all__ = [
     "SampleGrid",
@@ -234,6 +234,7 @@ class PulseSpec:
     phase: float = 0.0
 
     def __post_init__(self):
+        check_real(self)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"pulse width must be positive, got {self.sigma!r}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
@@ -266,6 +267,7 @@ class CompassSpec:
     FREQ_SIGNS = (-1.0, -1.0, +1.0, +1.0)
 
     def __post_init__(self):
+        check_real(self, sequences=("amplitudes", "phases"))
         problems = []  # every one is reported, each naming its parameter first
         for name in ("t0", "omega0", "sigma"):
             v = getattr(self, name)
@@ -303,6 +305,7 @@ class ShaperMask:
     block_halfwidth: float = 0.0
 
     def __post_init__(self):
+        check_real(self)
         problems = []  # every one is reported, each naming its parameter first
         if not (math.isfinite(self.mask_t0) and self.mask_t0 >= 0):
             problems.append(f"mask_t0 must be >= 0, got {self.mask_t0!r}")

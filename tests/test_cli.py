@@ -326,8 +326,11 @@ def test_non_utf8_trace_exits_3(tmp_path, fmt):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # nor the process-pool modules: the two-process map I/O forks with os alone
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, chronomap.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    unloaded = ("scipy", "multiprocessing", "concurrent.futures", "subprocess")
+    code = f"import sys, chronomap.cli; print([m for m in {unloaded!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronomap import (
     CompassSpec,
@@ -13,6 +15,7 @@ from chronomap import (
     ShaperMask,
     ShapingError,
     SynthesisError,
+    Window,
     apply_shaper,
     compass_state,
     energy,
@@ -345,3 +348,45 @@ def test_shaper_four_pulse_construction():
     masked[np.abs(t - t[i1]) < 1.0] = 0.0
     i2 = int(np.argmax(masked))
     assert abs(abs(t[i1] - t[i2]) - 4.0) <= 0.2  # replicas 2*mask_t0 apart
+
+
+# ------------------------------------------------ parameter types
+
+VALID_PARAMETERS = {
+    SampleGrid: dict(n=64, dt=0.1, t_start=0.0),
+    PulseSpec: dict(center_time=0.0, center_ang_freq=0.0, sigma=0.5, amplitude=1.0, phase=0.0),
+    CompassSpec: dict(t0=2.0, omega0=1.0, sigma=0.25, amplitudes=(1, 1, 1, 1),
+                      phases=(0, 0, 0, 0)),
+    ShaperMask: dict(mask_t0=0.0, block_center=0.0, block_halfwidth=0.0),
+    Window: dict(tau_center=0.0, tau_halfwidth=1.0, omega_center=0.0, omega_halfwidth=1.0),
+}
+NON_NUMERIC = st.one_of(st.text(max_size=4), st.none(), st.builds(object),
+                        st.complex_numbers(max_magnitude=10))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: CompassSpec(2.0, 1.0, 0.25, amplitudes=("x", 1, 1, 1)), "amplitudes"),
+    (lambda: CompassSpec("2", 1.0, 0.25), "t0"),
+    (lambda: PulseSpec(0, 0, None), "sigma"),
+    (lambda: ShaperMask("a", 1, 1), "mask_t0"),
+    (lambda: Window("a", 1, 0, 1), "tau_center"),
+])
+def test_non_numeric_parameters_are_config_errors(build, name):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value).startswith(f"{name} must be ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(VALID_PARAMETERS)), st.data())
+def test_non_numeric_parameters_raise_only_config_errors(cls, data):
+    kwargs = dict(VALID_PARAMETERS[cls])
+    name = data.draw(st.sampled_from(sorted(kwargs)))
+    bad = data.draw(NON_NUMERIC)
+    if isinstance(kwargs[name], tuple) and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, 3))  # one bad entry of a four-value parameter
+        bad = kwargs[name][:i] + (bad,) + kwargs[name][i + 1:]
+    kwargs[name] = bad
+    with pytest.raises(ConfigError) as info:
+        cls(**kwargs)
+    assert name in str(info.value)  # "" is an empty sequence: 'amplitudes and phases must hold four values'

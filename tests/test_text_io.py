@@ -1,9 +1,13 @@
 """Text I/O tests: streamed trace and map parsing against the line-list
-parsers they replaced, arbitrary-byte inputs, and atomic writes."""
+parsers they replaced, arbitrary-byte inputs, atomic writes, and maps
+written and read by two processes."""
 
 import contextlib
+import math
+import mmap
 import os
 import re
+import time
 import types
 
 import numpy as np
@@ -20,6 +24,7 @@ from chronomap import (
     FormatError,
     ParseError,
     Spectrogram,
+    WignerMap,
     compass_state,
     cross_section,
     dataio,
@@ -654,3 +659,175 @@ def test_write_errors_name_the_target_path(tmp_path, outputs):
     with pytest.raises(FileNotFoundError) as info:
         save_map(outputs.map, str(target))
     assert str(target) in str(info.value) and ".tmp" not in str(info.value)
+
+
+# ------------------------------------------------ two-process map I/O
+#
+# SPLIT_CELLS is patched down so that small maps take the forked path,
+# or up to infinity so that the same call stays serial.
+
+
+def _cutoff(monkeypatch, cells):
+    """Set the split cutoff; return the list of forks made from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(dataio, "SPLIT_CELLS", cells)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _on_shared_pages(a):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(getattr(a, "obj", a), mmap.mmap)  # numpy wraps it in a memoryview
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_child(parent, fn):
+    """``fn`` that raises MemoryError when called in a forked child of ``parent``."""
+
+    def call(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return fn(*args)
+
+    return call
+
+
+_DENORMALS = st.sampled_from([5e-324, -5e-324, 1e-310, -2.2e-308, -0.0, 0.0])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([1, 2, 3, 4, 7, 8, 11]), st.integers(1, 6), st.data())
+def test_split_map_io_gives_the_serial_bytes(tmp_path, monkeypatch, rows, cols, data):
+    values = data.draw(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), _DENORMALS),
+        min_size=rows * cols, max_size=rows * cols))
+    m = WignerMap(-1.0 + 0.5 * np.arange(rows), 0.25 * np.arange(cols),
+                  np.reshape(values, (rows, cols)), 1.5)
+    outs = []
+    for cells in (math.inf, 1):
+        forks = _cutoff(monkeypatch, cells)
+        p = tmp_path / f"m{len(outs)}.chronomap"
+        save_map(m, str(p))
+        back = load_map(str(p))
+        assert np.array_equal(back.values, m.values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(m.values))
+        assert _on_shared_pages(back.values) == (cells == 1)
+        assert len(forks) == (2 if cells == 1 and rows > 1 else 0)
+        outs.append(p.read_bytes())
+    assert outs[0] == outs[1]
+    _assert_no_children()
+
+
+def _defective(path, outputs, rows):
+    """``outputs.map`` as text, with a bad token or a short row in the given rows
+    (value row i is line 5 + i; the 17 rows split at row 8)."""
+    save_map(outputs.map, path)
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    for i, defect in rows:
+        tokens = lines[4 + i].split()
+        lines[4 + i] = " ".join(tokens[:-1] if defect == "short" else tokens + ["1.0x"])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+
+
+@pytest.mark.parametrize("rows", [
+    [(2, "bad")], [(12, "bad")], [(3, "bad"), (14, "bad")], [(16, "short")],
+    [(8, "short"), (9, "bad")], [(7, "bad"), (13, "short")],
+], ids=str)
+def test_split_load_map_gives_the_serial_errors(tmp_path, monkeypatch, outputs, rows):
+    path = str(tmp_path / "m.chronomap")
+    _defective(path, outputs, rows)
+    _cutoff(monkeypatch, math.inf)
+    serial = _outcome(load_map, path)
+    forks = _cutoff(monkeypatch, 1)
+    assert _outcome(load_map, path) == serial
+    first = 5 + rows[0][0]
+    assert serial[1].startswith(f"{path}:{first}: ")
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_split_map_io_redoes_a_failed_childs_rows(tmp_path, monkeypatch, outputs):
+    p = tmp_path / "m.chronomap"
+    save_map(outputs.map, str(p))
+    serial = p.read_bytes()
+    forks = _cutoff(monkeypatch, 1)
+    parent = os.getpid()
+    monkeypatch.setattr(dataio, "_format_row", _in_child(parent, dataio._format_row))
+    monkeypatch.setattr(dataio, "_parse_floats", _in_child(parent, dataio._parse_floats))
+    save_map(outputs.map, str(p))
+    assert p.read_bytes() == serial
+    assert np.array_equal(load_map(str(p)).values, outputs.map.values)
+    assert len(forks) == 2 and os.listdir(tmp_path) == ["m.chronomap"]
+    _assert_no_children()
+
+
+def test_split_save_map_failed_replace_keeps_old_file(tmp_path, monkeypatch, outputs):
+    forks = _cutoff(monkeypatch, 1)
+    test_failed_write_keeps_old_file(tmp_path, monkeypatch, outputs, "save_map")
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_split_save_map_failing_mid_way_keeps_old_file(tmp_path, monkeypatch, outputs):
+    forks = _cutoff(monkeypatch, 1)
+    test_save_map_failing_mid_way_keeps_old_file(tmp_path, monkeypatch, outputs)
+    assert len(forks) == 2  # the first save, then the failing one
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("op", ["save_map", "load_map"])
+def test_split_parent_interrupted_kills_the_child(tmp_path, monkeypatch, outputs, op):
+    p = tmp_path / "m.chronomap"
+    save_map(outputs.map, str(p))
+    before = p.read_bytes()
+    forks = _cutoff(monkeypatch, 1)
+    parent = os.getpid()
+    name = "_format_row" if op == "save_map" else "_parse_floats"
+    real = getattr(dataio, name)
+    calls = []
+
+    def step(*args):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child still busy when the parent is interrupted
+        calls.append(1)
+        if len(calls) == (5 if op == "save_map" else 6):  # the parent's third row
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(dataio, name, step)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        save_map(outputs.map, str(p)) if op == "save_map" else load_map(str(p))
+    assert time.monotonic() - began < 30
+    assert len(forks) == 1
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.chronomap"]
+    _assert_no_children()
+
+
+def test_map_io_without_fork_stays_serial(tmp_path, monkeypatch, outputs):
+    p = tmp_path / "m.chronomap"
+    save_map(outputs.map, str(p))
+    serial = p.read_bytes()
+    monkeypatch.setattr(dataio, "SPLIT_CELLS", 1)
+    monkeypatch.delattr(os, "fork")
+    save_map(outputs.map, str(p))
+    assert p.read_bytes() == serial
+    back = load_map(str(p))
+    assert np.array_equal(back.values, outputs.map.values)
+    assert not _on_shared_pages(back.values)
+    assert os.listdir(tmp_path) == ["m.chronomap"]
