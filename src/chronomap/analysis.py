@@ -6,6 +6,7 @@ uncertainty-relation unit 0.5, pulse-separation sweeps, and map
 similarity scoring.
 """
 
+import bisect
 import dataclasses
 import math
 
@@ -20,7 +21,7 @@ from .errors import (
     check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
-from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, shg_frog
+from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, check_axis, shg_frog
 
 SUB_FOURIER_LIMIT = 0.5
 
@@ -54,13 +55,8 @@ class Window:
     omega_halfwidth: float
 
     def __post_init__(self):
-        check_real(self)
-        for name in ("tau_center", "tau_halfwidth", "omega_center", "omega_halfwidth"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ConfigError(f"window {name} must be finite, got {v!r}")
-        if self.tau_halfwidth <= 0 or self.omega_halfwidth <= 0:
-            raise ConfigError("window halfwidths must be positive")
+        check_real(vars(self), tau_center="finite", tau_halfwidth="positive",
+                   omega_center="finite", omega_halfwidth="positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,13 +74,10 @@ class CrossSection:
     fixed_coordinate: tuple
 
     def __post_init__(self):
-        ax = np.asarray(self.axis, float)
+        ax = check_axis("cross-section axis", self.axis)
         vals = np.asarray(self.values, float)
-        if ax.ndim != 1 or ax.size < 2 or vals.shape != ax.shape:
-            raise ConfigError("cross-section axis and values must be matching 1D arrays")
-        steps = np.diff(ax)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise ConfigError("cross-section axis must be uniform and increasing")
+        if ax.size < 2 or vals.shape != ax.shape:
+            raise ConfigError("cross-section axis and values must be matching arrays of >= 2 samples")
         if self.kind not in ("intensity", "signed"):
             raise ConfigError(f"unknown cross-section kind {self.kind!r}")
         if self.kind == "intensity" and np.any(vals[np.isfinite(vals)] < 0):
@@ -173,14 +166,10 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
     """
     if not isinstance(m, TimeFrequencyMap):
         raise ConfigError(f"cannot take cross-sections of {type(m).__name__}")
-    if axis_choice == "delay":
-        run_axis, held_axis, held_name = m.time_axis, m.freq_axis, "frequency"
-        gather = lambda j, w0, w1: w0 * m.values[:, j] + w1 * m.values[:, j + 1]
-        exact = lambda j: m.values[:, j]
+    if axis_choice == "delay":  # lines: the map's columns, one per held frequency
+        run_axis, held_axis, held_name, lines = m.time_axis, m.freq_axis, "frequency", m.values.T
     elif axis_choice == "frequency":
-        run_axis, held_axis, held_name = m.freq_axis, m.time_axis, "delay"
-        gather = lambda j, w0, w1: w0 * m.values[j, :] + w1 * m.values[j + 1, :]
-        exact = lambda j: m.values[j, :]
+        run_axis, held_axis, held_name, lines = m.freq_axis, m.time_axis, "delay", m.values
     else:
         raise ConfigError(
             f"axis_choice must be 'delay' or 'frequency', got {axis_choice!r}"
@@ -193,16 +182,16 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
             f"fixed {held_name} {v:g} outside the map range "
             f"[{held_axis[0]:g}, {held_axis[-1]:g}]"
         )
-    step = held_axis[1] - held_axis[0]
-    pos = (v - held_axis[0]) / step
-    j = min(int(np.floor(pos)), held_axis.size - 2)
+    # a held axis of one line holds the only value in range: that line is returned
+    pos = (v - held_axis[0]) / (held_axis[1] - held_axis[0]) if held_axis.size > 1 else 0.0
+    j = max(0, min(int(np.floor(pos)), held_axis.size - 2))
     frac = pos - j
     if frac < 1e-9:
-        values = exact(j)
+        values = lines[j]
     elif frac > 1 - 1e-9:
-        values = exact(j + 1)
+        values = lines[j + 1]
     else:
-        values = gather(j, 1 - frac, frac)
+        values = (1 - frac) * lines[j] + frac * lines[j + 1]
     return CrossSection(run_axis.copy(), np.array(values, float),
                         "signed" if m.signed else "intensity", (held_name, v))
 
@@ -255,11 +244,10 @@ def _intensity_zeros(x, y, noise_floor):
     for i in range(1, n - 1):
         if not (y[i] < y[i - 1] and y[i] <= y[i + 1]):
             continue
-        left = [m for m in maxima if m < i]
-        right = [m for m in maxima if m > i]
-        if not left or not right:
+        k = bisect.bisect(maxima, i)  # a minimum is no maximum: maxima[k] > i
+        if k == 0 or k == len(maxima):
             continue
-        flank = min(y[left[-1]], y[right[0]])
+        flank = min(y[maxima[k - 1]], y[maxima[k]])
         if flank <= 0 or y[i] >= noise_floor * flank:
             continue
         # parabola through the bracketing triple; vertex clamped inside
@@ -352,13 +340,15 @@ def _windowed_section(m, axis_choice, held, center, halfwidth) -> CrossSection:
 
 
 def _windowed_zero_pair(m, window, noise_floor):
+    """Delay and frequency zeros inside ``window`` (default: the auto window), and the window."""
+    window = _auto_window(m) if window is None else window
     sec_t = _windowed_section(m, "delay", window.omega_center,
                               window.tau_center, window.tau_halfwidth)
     sec_w = _windowed_section(m, "frequency", window.tau_center,
                               window.omega_center, window.omega_halfwidth)
     zt = find_zeros(sec_t, noise_floor).positions
     zw = find_zeros(sec_w, noise_floor).positions
-    return zt, zw
+    return zt, zw, window
 
 
 def _build_report(zt, zw, window) -> CellAreaReport:
@@ -391,8 +381,7 @@ def cell_areas(m: Spectrogram, window: Window | None = None,
     """
     if not isinstance(m, Spectrogram):
         raise ConfigError("cell_areas expects a Spectrogram")
-    win = _auto_window(m) if window is None else window
-    zt, zw = _windowed_zero_pair(m, win, noise_floor)
+    zt, zw, win = _windowed_zero_pair(m, window, noise_floor)
     if zt.size < 2 or zw.size < 2:
         raise InsufficientStructureError(
             f"need at least 2 zeros per axis, found {zt.size} delay / "
@@ -412,9 +401,7 @@ def wigner_cell_areas(m: WignerMap, window: Window | None = None) -> CellAreaRep
     """
     if not isinstance(m, WignerMap):
         raise ConfigError("wigner_cell_areas expects a WignerMap")
-    win = _auto_window(m) if window is None else window
-    zt, zw = _windowed_zero_pair(m, win, 0.0)
-    return _build_report(zt, zw, win)
+    return _build_report(*_windowed_zero_pair(m, window, 0.0))
 
 
 def sweep_separation(base: CompassSpec, t0_values, grid: SampleGrid | None = None,

@@ -75,7 +75,6 @@ def _flagged(problem):
 class RunConfig:
     """Validated bundle of everything a subcommand run depends on."""
 
-    subcommand: str
     state: str = "compass"
     n: int = 2048
     dt: float = 0.02
@@ -107,8 +106,10 @@ class RunConfig:
             problems.append(f"--state must be one of {STATES}")
         if not math.isfinite(self.chirp):
             problems.append("--chirp must be finite")
-        if tau_span is not None and not (math.isfinite(tau_span) and tau_span > 0):
-            problems.append(f"--tau-span must be positive, got {tau_span}")
+        if tau_span is not None:
+            steps = tau_span / self.dt if self.dt > 0 else 0.0  # a bad dt is reported above
+            if not (tau_span > 0 and math.isfinite(steps) and round(steps) <= self.n - 1):
+                problems.append(f"--tau-span must be positive and at most (n - 1)*dt, got {tau_span}")
         if any(v <= 0 for v in t0_values):
             problems.append("--t0-list values must be positive")
         if problems:
@@ -129,6 +130,14 @@ class RunConfig:
         """The central window of a compass state: out to its pulses and carriers."""
         return Window(0.0, self.t0, 0.0, self.omega0)
 
+    def field(self, what=None, taus=None):
+        """The configured field; given a transform name ``what``, checked that it can
+        feed that transform at the delays ``taus`` (see :func:`check_sampling`)."""
+        f = self.build_field(self.grid())
+        if what is not None:
+            check_sampling(f, taus, what)
+        return f
+
     def build_field(self, grid):
         if self.state == "compass":
             f = compass_state(grid, self.compass())
@@ -146,6 +155,10 @@ class RunConfig:
             span = 2 * self.t0 + 1.0 if self.state == "compass" else 1.0 + 4 * self.sigma
         steps = int(round(span / self.dt))
         return self.dt * np.arange(-steps, steps + 1)
+
+
+def _dry(name):
+    click.echo(f"dry-run ok: {name}")
 
 
 def _fail(code, exc):
@@ -255,10 +268,9 @@ def state_options(default_n=RunConfig.n):
     return wrap
 
 
-def _config(subcommand, kw, **rules):
+def _config(kw, **rules):
     """A validated RunConfig from a command's options; the rest keep their defaults."""
     cfg = RunConfig(
-        subcommand,
         omega0=math.pi * kw.pop("omega0_over_pi"),
         amplitudes=_floats(kw.pop("amplitudes"), "--amplitudes", 4),
         phases=_floats(kw.pop("phases"), "--phases", 4),
@@ -289,20 +301,20 @@ def main(ctx, figure, out_dir, dry_run, stamp):
 @_guarded
 def _figure_bundle(figure, out_dir, dry_run, stamp):
     overrides, names = PRESETS[figure]
-    cfg = RunConfig("figure", **overrides).validate()
+    cfg = RunConfig(**overrides).validate()
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in names]
-    f = cfg.build_field(cfg.grid())
+    taus = cfg.tau_axis() if figure in ("3", "5a") else None
+    f = cfg.field({"3": "frog", "4": "wigner", "5a": "areas"}.get(figure), taus)
     if dry_run:
-        click.echo(f"dry-run ok: figure {figure}")
-        return
+        return _dry(f"figure {figure}")
     if figure in ("3", "4"):
-        m = shg_frog(f, cfg.tau_axis()) if figure == "3" else wigner(f)
+        m = shg_frog(f, taus) if figure == "3" else wigner(f)
         _write_map(m, paths[0], paths[1])
         for axis, path in zip(("delay", "frequency"), paths[2:]):
             _export(cross_section(m, axis, 0.0), path, stamp)
     elif figure == "5a":
-        report = cell_areas(shg_frog(f, cfg.tau_axis()), cfg.window(), cfg.noise_floor)
+        report = cell_areas(shg_frog(f, taus), cfg.window(), cfg.noise_floor)
         _write_areas(report, paths[0], paths[1], stamp)
     else:
         series = sweep_separation(cfg.compass(), SWEEP_T0S, cfg.grid(), cfg.noise_floor)
@@ -320,11 +332,10 @@ def _figure_bundle(figure, out_dir, dry_run, stamp):
 @_guarded
 def simulate(out_path, dry_run, **kw):
     """Synthesize a field and write it as CHRONO-FIELD text."""
-    cfg = _config("simulate", kw)
-    f = cfg.build_field(cfg.grid())
+    cfg = _config(kw)
+    f = cfg.field()
     if dry_run:
-        click.echo("dry-run ok: simulate")
-        return
+        return _dry("simulate")
     dataio.save_field(f, out_path)
     click.echo(f"wrote field {out_path} (n={cfg.n})")
 
@@ -338,13 +349,11 @@ def simulate(out_path, dry_run, **kw):
 @_guarded
 def frog(out_path, pgm_path, tau_span, dry_run, **kw):
     """Compute a delay-resolved second-harmonic spectrogram."""
-    cfg = _config("frog", kw, tau_span=tau_span)
-    f = cfg.build_field(cfg.grid())
+    cfg = _config(kw, tau_span=tau_span)
     taus = cfg.tau_axis(tau_span)
+    f = cfg.field("frog", taus)
     if dry_run:
-        check_sampling(f, taus, "frog")
-        click.echo("dry-run ok: frog")
-        return
+        return _dry("frog")
     if cfg.oracle:
         m = quadrature_oracle_frog(f, taus, f.grid.ang_freqs())
     else:
@@ -360,12 +369,10 @@ def frog(out_path, pgm_path, tau_span, dry_run, **kw):
 @_guarded
 def wigner_cmd(out_path, pgm_path, dry_run, **kw):
     """Compute the time-frequency quasiprobability map of a state."""
-    cfg = _config("wigner", kw)
-    f = cfg.build_field(cfg.grid())
+    cfg = _config(kw)
+    f = cfg.field("wigner")
     if dry_run:
-        check_sampling(f, what="wigner")
-        click.echo("dry-run ok: wigner")
-        return
+        return _dry("wigner")
     w = quadrature_oracle_wigner(f) if cfg.oracle else wigner(f)
     _write_map(w, out_path, pgm_path)
     click.echo(f"wrote wigner map {out_path} ({w.values.shape[0]} x {w.values.shape[1]})")
@@ -387,8 +394,7 @@ def crosscut(in_path, axis, fixed_value, noise_floor, out_path, stamp, dry_run):
     m = dataio.load_map(in_path)
     section = cross_section(m, axis, fixed_value)
     if dry_run:
-        click.echo("dry-run ok: crosscut")
-        return
+        return _dry("crosscut")
     zeros = find_zeros(section, noise_floor)
     footer = "# zeros: " + " ".join(repr(float(z)) for z in zeros.positions) + "\n"
     _export(section, out_path, stamp, footer + f"# zero-method: {zeros.method}\n")
@@ -409,23 +415,20 @@ def crosscut(in_path, axis, fixed_value, noise_floor, out_path, stamp, dry_run):
 @_guarded
 def areas(in_path, window_text, out_path, plot_path, stamp, dry_run, **kw):
     """Measure interference cell areas and the sub-Fourier verdict."""
-    cfg = _config("areas", kw)
+    cfg = _config(kw)
     window = _parse_window(window_text)
     if in_path is not None:
         m = dataio.load_map(in_path)
-    elif dry_run:
-        check_sampling(cfg.build_field(cfg.grid()), what="areas")
     else:
-        m = shg_frog(cfg.build_field(cfg.grid()), cfg.tau_axis())
+        taus = cfg.tau_axis()
+        f = cfg.field("areas", taus)
         if window is None and cfg.state == "compass":
             window = cfg.window()
     if dry_run:
-        click.echo("dry-run ok: areas")
-        return
-    if m.signed:
-        report = wigner_cell_areas(m, window)
-    else:
-        report = cell_areas(m, window, cfg.noise_floor)
+        return _dry("areas")
+    if in_path is None:
+        m = shg_frog(f, taus)
+    report = wigner_cell_areas(m, window) if m.signed else cell_areas(m, window, cfg.noise_floor)
     _write_areas(report, out_path, plot_path, stamp)
     if report.mean_area is None:
         click.echo("verdict not applicable: zeros resolved on one axis only")
@@ -448,10 +451,9 @@ def areas(in_path, window_text, out_path, plot_path, stamp, dry_run, **kw):
 def sweep(t0_text, out_path, json_path, stamp, dry_run, **kw):
     """Sweep the pulse separation and report mean areas per point."""
     t0_values = _floats(t0_text, "--t0-list")
-    cfg = _config("sweep", kw, t0_values=t0_values)
+    cfg = _config(kw, t0_values=t0_values)
     if dry_run:
-        click.echo(f"dry-run ok: sweep ({len(t0_values)} points)")
-        return
+        return _dry(f"sweep ({len(t0_values)} points)")
     series = sweep_separation(cfg.compass(), t0_values, cfg.grid(), cfg.noise_floor)
     _write_sweep(series, out_path, json_path, stamp)
     for p in series:
@@ -469,12 +471,9 @@ def sweep(t0_text, out_path, json_path, stamp, dry_run, **kw):
 @_guarded
 def correspond(dry_run, **kw):
     """Check the squared-map correspondence on one state."""
-    cfg = _config("correspond", kw)
-    f = cfg.build_field(cfg.grid())
+    f = _config(kw).field("correspond")
     if dry_run:
-        check_sampling(f, what="correspond")
-        click.echo("dry-run ok: correspond")
-        return
+        return _dry("correspond")
     residual = correspondence_residual(f)
     click.echo(f"residual {residual!r}")
 
@@ -498,8 +497,7 @@ def ingest(in_path, fmt, negative_policy, reference_wavelength, background_floor
     cal = dataio.Calibration(reference_wavelength, background_floor)
     trace = dataio.load_trace(in_path, fmt, negative_policy)
     if dry_run:
-        click.echo("dry-run ok: ingest")
-        return
+        return _dry("ingest")
     m = dataio.calibrate_to_spectrogram(trace, cal)
     dataio.save_map(m, out_path)
     clamped = trace.meta.get("clamped_count", 0)
@@ -518,8 +516,7 @@ def compare(input_a, input_b, dry_run):
     a = dataio.load_map(input_a)
     b = dataio.load_map(input_b)
     if dry_run:
-        click.echo("dry-run ok: compare")
-        return
+        return _dry("compare")
     click.echo(f"similarity {compare_maps(a, b)!r}")
 
 

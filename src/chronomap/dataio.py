@@ -19,7 +19,7 @@ from array import array
 import numpy as np
 
 from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoint
-from .errors import CalibrationError, ConfigError, FormatError, ParseError
+from .errors import CalibrationError, ConfigError, FormatError, ParseError, check_real
 from .fieldcore import ComplexField, SampleGrid
 from .transforms import Spectrogram, TimeFrequencyMap, WignerMap
 
@@ -84,12 +84,9 @@ class Calibration:
     speed_of_light: float = SPEED_OF_LIGHT_M_PER_S
 
     def __post_init__(self):
-        if not (math.isfinite(self.reference_wavelength) and self.reference_wavelength > 0):
-            raise ConfigError("reference wavelength must be positive")
-        if not 0 <= self.background_floor < 1:
-            raise ConfigError("background floor must lie in [0, 1)")
-        if self.speed_of_light != SPEED_OF_LIGHT_M_PER_S:
-            raise ConfigError("the speed of light is not adjustable")
+        check_real(vars(self), reference_wavelength="positive",
+                   background_floor=lambda f: None if 0 <= f < 1 else "must lie in [0, 1)",
+                   speed_of_light=lambda c: None if c == SPEED_OF_LIGHT_M_PER_S else "is not adjustable")
 
 
 def wavelength_to_angular_frequency(wavelength_nm):

@@ -70,15 +70,7 @@ class SampleGrid:
     t_start: float
 
     def __post_init__(self):
-        problems = []  # every one is reported, each naming its parameter first
-        if not isinstance(self.n, (int, np.integer)) or self.n < 16 or (self.n & (self.n - 1)) != 0:
-            problems.append(f"n must be a power of two >= 16, got {self.n!r}")
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
-            problems.append(f"dt must be a positive finite number, got {self.dt!r}")
-        if not (isinstance(self.t_start, (int, float)) and math.isfinite(self.t_start)):
-            problems.append(f"t_start must be finite, got {self.t_start!r}")
-        if problems:
-            raise ConfigError(*problems)
+        check_real(vars(self), n=_power_of_two, dt="positive", t_start="finite")
 
     @property
     def dw(self) -> float:
@@ -127,6 +119,11 @@ class SampleGrid:
         if abs(s) > self.n - 1:
             raise DomainError(f"delay {tau} ps exceeds the grid span of {self.n * self.dt} ps")
         return int(s)
+
+
+def _power_of_two(n):
+    if not (isinstance(n, (int, np.integer)) and n >= 16 and n & (n - 1) == 0):
+        return "must be a power of two >= 16"
 
 
 make_grid = SampleGrid  # make_grid(n, dt, t_start) builds the same grid
@@ -234,14 +231,8 @@ class PulseSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        check_real(self)
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"pulse width must be positive, got {self.sigma!r}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ConfigError(f"pulse amplitude must be >= 0, got {self.amplitude!r}")
-        for name in ("center_time", "center_ang_freq", "phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"pulse {name} must be finite")
+        check_real(vars(self), center_time="finite", center_ang_freq="finite",
+                   sigma="positive", amplitude=">= 0", phase="finite")
 
 
 @dataclass(frozen=True)
@@ -267,26 +258,15 @@ class CompassSpec:
     FREQ_SIGNS = (-1.0, -1.0, +1.0, +1.0)
 
     def __post_init__(self):
-        check_real(self, sequences=("amplitudes", "phases"))
-        problems = []  # every one is reported, each naming its parameter first
-        for name in ("t0", "omega0", "sigma"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                problems.append(f"{name} must be positive, got {v!r}")
-        amps = tuple(float(a) for a in self.amplitudes)
-        phis = tuple(float(p) for p in self.phases)
-        if len(amps) != 4 or len(phis) != 4:
-            problems.append("amplitudes and phases must hold four values each")
-        elif not all(math.isfinite(a) and a >= 0 for a in amps):
-            problems.append("amplitudes must be finite and >= 0")
-        elif not any(a > 0 for a in amps):
-            problems.append("amplitudes must include a positive value")
-        if not all(math.isfinite(p) for p in phis):
-            problems.append("phases must be finite")
-        if problems:
-            raise ConfigError(*problems)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "phases", phis)
+        check_real(vars(self), {"amplitudes": 4, "phases": 4}, t0="positive",
+                   omega0="positive", sigma="positive", amplitudes=_amplitudes, phases="finite")
+        object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+
+
+def _amplitudes(amps):
+    if not (all(math.isfinite(a) and a >= 0 for a in amps) and any(a > 0 for a in amps)):
+        return "must be finite and >= 0, one of them positive"
 
 
 @dataclass(frozen=True)
@@ -305,16 +285,7 @@ class ShaperMask:
     block_halfwidth: float = 0.0
 
     def __post_init__(self):
-        check_real(self)
-        problems = []  # every one is reported, each naming its parameter first
-        if not (math.isfinite(self.mask_t0) and self.mask_t0 >= 0):
-            problems.append(f"mask_t0 must be >= 0, got {self.mask_t0!r}")
-        if not (math.isfinite(self.block_halfwidth) and self.block_halfwidth >= 0):
-            problems.append(f"block_halfwidth must be >= 0, got {self.block_halfwidth!r}")
-        if not math.isfinite(self.block_center):
-            problems.append(f"block_center must be finite, got {self.block_center!r}")
-        if problems:
-            raise ConfigError(*problems)
+        check_real(vars(self), mask_t0=">= 0", block_halfwidth=">= 0", block_center="finite")
 
 
 def _check_time_span(grid: SampleGrid, lo: float, hi: float, what: str):
@@ -380,12 +351,10 @@ def chirped_gaussian(grid: SampleGrid, sigma: float, chirp: float,
     :func:`gaussian_pulse`. Used to probe behavior outside the
     real-envelope, linear-phase regime.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"pulse width must be positive, got {sigma!r}")
-    if not math.isfinite(chirp):
-        raise ConfigError("chirp must be finite")
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise ConfigError("amplitude must be positive")
+    check_real(dict(sigma=sigma, chirp=chirp, center_time=center_time,
+                    center_ang_freq=center_ang_freq, amplitude=amplitude, phase=phase),
+               sigma="positive", chirp="finite", center_time="finite",
+               center_ang_freq="finite", amplitude="positive", phase="finite")
     _check_time_span(grid, center_time - 5 * sigma, center_time + 5 * sigma, "pulse")
     # Chirp broadens the spectrum by sqrt(1 + chirp^2).
     _check_freq_span(grid, abs(center_ang_freq) + 5.0 * math.sqrt(1 + chirp**2) / sigma,

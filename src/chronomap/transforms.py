@@ -71,6 +71,7 @@ __all__ = [
     "overlap_map",
     "correspondence_residual",
     "check_sampling",
+    "check_axis",
 ]
 
 # Imaginary residue above this fraction of the map peak means the Wigner
@@ -110,18 +111,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_axis(name: str, axis: np.ndarray):
+def check_axis(name: str, axis, uniform: bool = True) -> np.ndarray:
+    """``axis`` as a float array, checked to be nonempty, finite, 1D and strictly
+    increasing, and if ``uniform`` evenly spaced; a ConfigError names ``name``."""
+    axis = np.asarray(axis, dtype=np.float64)
     if axis.ndim != 1 or axis.size == 0:
         raise ConfigError(f"{name} must be a nonempty 1D array")
     if not np.all(np.isfinite(axis)):
         raise ConfigError(f"{name} must be finite")
     d = np.diff(axis)
-    if axis.size > 1:
-        if not np.all(d > 0):
-            raise ConfigError(f"{name} must be strictly increasing")
-        step = d[0]
-        if not np.allclose(d, step, rtol=1e-9, atol=1e-12 * abs(step)):
-            raise ConfigError(f"{name} must be uniformly spaced")
+    if not np.all(d > 0):
+        raise ConfigError(f"{name} must be strictly increasing")
+    if uniform and d.size and not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
+        raise ConfigError(f"{name} must be uniformly spaced")
+    return axis
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,9 @@ class TimeFrequencyMap:
     scale: float
 
     def __post_init__(self):
-        t = np.asarray(self.time_axis, dtype=np.float64)
-        w = np.asarray(self.freq_axis, dtype=np.float64)
+        t = check_axis("time_axis", self.time_axis)
+        w = check_axis("freq_axis", self.freq_axis)
         v = np.asarray(self.values, dtype=np.float64)
-        _check_axis("time_axis", t)
-        _check_axis("freq_axis", w)
         if v.shape != (t.size, w.size):
             raise ConfigError(
                 f"values shape {v.shape} does not match axes ({t.size}, {w.size})"
@@ -194,14 +195,9 @@ class OverlapMap:
     values: np.ndarray
 
     def __post_init__(self):
-        dts = np.asarray(self.dt_axis, dtype=np.float64)
-        dnus = np.asarray(self.dnu_axis, dtype=np.float64)
+        dts = check_axis("dt_axis", self.dt_axis, uniform=False)
+        dnus = check_axis("dnu_axis", self.dnu_axis, uniform=False)
         v = np.asarray(self.values, dtype=np.complex128)
-        for name, axis in (("dt_axis", dts), ("dnu_axis", dnus)):
-            if axis.ndim != 1 or axis.size == 0 or not np.all(np.isfinite(axis)):
-                raise ConfigError(f"{name} must be a nonempty finite 1D array")
-            if axis.size > 1 and not np.all(np.diff(axis) > 0):
-                raise ConfigError(f"{name} must be strictly increasing")
         if v.shape != (dts.size, dnus.size):
             raise ConfigError(
                 f"values shape {v.shape} does not match axes ({dts.size}, {dnus.size})"
@@ -340,8 +336,7 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     """
     taus, steps = check_sampling(field, tau_axis, "quadrature_oracle_frog")
     g = field.grid
-    w = np.atleast_1d(np.asarray(omega_axis, dtype=np.float64))
-    _check_axis("omega_axis", w)
+    w = check_axis("omega_axis", np.atleast_1d(omega_axis))
     P = _shifted_products(field.samples, field.samples, steps)
     kernel = np.exp(1j * np.outer(g.times(), w))
     amps = g.dt * (P @ kernel)

@@ -1,5 +1,8 @@
 """Analysis tests: slicing, zero finding, cell areas, sweeps, comparison."""
 
+import os
+import tempfile
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from chronomap import (
     CellAreaReport,
+    ChronoError,
     CompassSpec,
     ComplexField,
     ConfigError,
@@ -16,7 +20,9 @@ from chronomap import (
     DomainError,
     InsufficientStructureError,
     PulseSpec,
+    Spectrogram,
     Window,
+    WignerMap,
     ZeroSet,
     cell_areas,
     compare_maps,
@@ -25,7 +31,9 @@ from chronomap import (
     find_zeros,
     gaussian_pulse,
     interior_spacings,
+    load_map,
     make_grid,
+    save_map,
     shg_frog,
     sweep_separation,
     wigner,
@@ -418,3 +426,35 @@ def test_resample_reproduces_bilinear_functions(ax_t, ax_w, coef, ft, fw):
     ts, ws = np.clip(ts, ax_t[0], ax_t[-1]), np.clip(ws, ax_w[0], ax_w[-1])
     got = _resample_bilinear(values, ax_t, ax_w, ts, ws)
     npt.assert_allclose(got, f(ts[:, None], ws[None, :]), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.integers(1, 7), st.integers(1, 7), st.data())
+def test_any_loadable_map_raises_only_chrono_errors(signed, rows, cols, data):
+    # small maps, one row or one column included, written and read back as a file
+    def axis(size):
+        start = data.draw(st.floats(-50, 50))
+        return start + data.draw(st.floats(1e-3, 10)) * np.arange(size)
+
+    value = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+    values = np.array(data.draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+    values = values.reshape(rows, cols) if signed else np.abs(values).reshape(rows, cols)
+    cls = WignerMap if signed else Spectrogram
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.chronomap")
+        save_map(cls(axis(rows), axis(cols), values, data.draw(st.floats(0, 1e6))), path)
+        m = load_map(path)
+    fractions = st.floats(0, 1)
+    calls = [
+        lambda: cross_section(m, "delay", m.freq_axis[0] + data.draw(fractions)
+                              * (m.freq_axis[-1] - m.freq_axis[0])),
+        lambda: cross_section(m, "frequency", m.time_axis[0] + data.draw(fractions)
+                              * (m.time_axis[-1] - m.time_axis[0])),
+        lambda: wigner_cell_areas(m) if signed else cell_areas(m),
+        lambda: compare_maps(m, m),
+    ]
+    for call in calls:
+        try:
+            call()
+        except ChronoError:
+            pass

@@ -23,7 +23,7 @@ from chronomap import (
     wigner,
     save_map,
 )
-from chronomap.cli import main
+from chronomap.cli import PRESETS, main
 
 OMEGA0 = np.pi * 3.3
 
@@ -276,6 +276,34 @@ def test_figure_preset_dry_run(tmp_path):
     assert result.exit_code == 0
     assert "dry-run ok" in result.output
     assert os.listdir(str(d)) == []
+
+
+def test_figure_dry_run_checks_sampling(tmp_path, monkeypatch):
+    # the figure-3 state on a grid that synthesizes it but aliases its products
+    monkeypatch.setitem(PRESETS, "3", ({"n": 1024, "dt": 0.06}, PRESETS["3"][1]))
+    result = invoke("--figure", "3", "--out", str(tmp_path / "d"), "--dry-run")
+    assert result.exit_code == 2, all_text(result)
+    assert "frog: " in all_text(result) and "alias" in all_text(result)
+    assert os.listdir(str(tmp_path / "d")) == []
+
+
+def test_map_with_one_sample_axis(tmp_path):
+    # 3 delays, 1 frequency: a delay cut holds the only frequency; the rest is a config error
+    p = _write_map_text(tmp_path / "one.chronomap", [0.0, 0.1, 0.2], [0.5],
+                        [[1.0], [0.5], [0.25]])
+    cut = tmp_path / "cut.dat"
+    result = invoke("crosscut", "--input", p, "--axis", "delay", "--at", "0.5",
+                    "--out", str(cut))
+    assert result.exit_code == 0, all_text(result)
+    assert "0 zeros" in result.output and cut.exists()
+    for args in (("crosscut", "--input", p, "--axis", "frequency", "--at", "0.1",
+                  "--out", str(tmp_path / "cut2.dat")),
+                 ("areas", "--input", p, "--out", str(tmp_path / "a.json"))):
+        result = invoke(*args)
+        assert result.exit_code == 2, (args, all_text(result))
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert all_text(result).startswith("error: cross-section")
+    assert sorted(os.listdir(tmp_path)) == ["cut.dat", "one.chronomap"]
 
 
 def _write_map_text(path, ax1, ax2, rows):

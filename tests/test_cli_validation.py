@@ -42,6 +42,12 @@ ROWS = [
     ("block-center-unshaped", (*SIM, "--block-center", "nan"), 2, "--block-center"),
     ("tau-span", ("frog", "--dry-run", "--out", "unused.chronomap",
                   "--tau-span", "0"), 2, "--tau-span"),
+    ("tau-span-huge", ("frog", "--dry-run", "--out", "unused.chronomap",
+                       "--tau-span", "1e12"), 2, "--tau-span"),
+    ("tau-span-past-grid", ("frog", "--dry-run", "--out", "unused.chronomap",
+                            "--tau-span", "40.96"), 2, "--tau-span"),  # 2048 steps of 0.02
+    ("valid-tau-span-edge", ("frog", "--dry-run", "--out", "unused.chronomap",
+                             "--tau-span", "40.94"), 0, None),  # (n - 1)*dt
     ("t0-list", ("sweep", "--dry-run", "--out", "unused.dat",
                  "--t0-list", "1,-2"), 2, "--t0-list"),
     ("t0-list-text", ("sweep", "--dry-run", "--out", "unused.dat",

@@ -104,7 +104,7 @@ def half_coordinate_pattern(field, W, taus):
 
 
 def figure_config(n, dt=0.02):
-    return RunConfig("figure", n=n, dt=dt).validate()
+    return RunConfig(n=n, dt=dt).validate()
 
 
 def figure4_field():
