@@ -18,6 +18,7 @@ from .errors import (
     DataError,
     DomainError,
     InsufficientStructureError,
+    check_array,
     check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
@@ -74,18 +75,15 @@ class CrossSection:
     fixed_coordinate: tuple
 
     def __post_init__(self):
-        ax = check_axis("cross-section axis", self.axis)
-        vals = np.asarray(self.values, float)
-        if ax.size < 2 or vals.shape != ax.shape:
-            raise ConfigError("cross-section axis and values must be matching arrays of >= 2 samples")
+        ax = check_axis("cross-section axis", self.axis, 2)
+        # values may hold NaN or inf: find_zeros rejects them as data
+        vals = check_array("cross-section values", self.values, shape=ax.shape, rule=None)
         if self.kind not in ("intensity", "signed"):
             raise ConfigError(f"unknown cross-section kind {self.kind!r}")
         if self.kind == "intensity" and np.any(vals[np.isfinite(vals)] < 0):
             raise ConfigError("intensity cross-section values must be non-negative")
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "values", vals)
-        ax.setflags(write=False)
-        vals.setflags(write=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,13 +94,8 @@ class ZeroSet:
     method: str
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, float)
-        if pos.ndim != 1:
-            raise ConfigError("zero positions must form a 1D array")
-        if pos.size > 1 and np.any(np.diff(pos) <= 0):
-            raise ConfigError("zero positions must be strictly increasing")
-        object.__setattr__(self, "positions", pos)
-        pos.setflags(write=False)
+        object.__setattr__(self, "positions", check_array(
+            "zero positions", self.positions, shape=0, rule="strictly increasing"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,11 +118,9 @@ class CellAreaReport:
 
     def __post_init__(self):
         for name in ("tau_spacings", "omega_spacings", "cell_areas"):
-            arr = np.asarray(getattr(self, name), float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
-        if self.mean_area is not None and not self.mean_area > 0:
-            raise ConfigError("mean cell area must be positive when defined")
+            object.__setattr__(self, name, check_array(name, getattr(self, name), shape=0))
+        if self.mean_area is not None:
+            check_real({"mean_area": self.mean_area}, mean_area="positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,9 +135,8 @@ class SweepPoint:
 
 
 def check_noise_floor(noise_floor: float):
-    """Raise :class:`ConfigError` unless ``noise_floor`` lies in [0, 1)."""
-    if not 0 <= noise_floor < 1:
-        raise ConfigError(f"noise_floor must lie in [0, 1), got {noise_floor!r}")
+    """Raise :class:`ConfigError` unless ``noise_floor`` is a real number in [0, 1)."""
+    check_real({"noise_floor": noise_floor}, noise_floor="in [0, 1)")
 
 
 def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
@@ -174,9 +164,8 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
         raise ConfigError(
             f"axis_choice must be 'delay' or 'frequency', got {axis_choice!r}"
         )
+    check_real({"fixed_value": fixed_value}, fixed_value="finite")
     v = float(fixed_value)
-    if not math.isfinite(v):
-        raise ConfigError("fixed coordinate must be finite")
     if v < held_axis[0] or v > held_axis[-1]:
         raise DomainError(
             f"fixed {held_name} {v:g} outside the map range "
@@ -192,8 +181,7 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
         values = lines[j + 1]
     else:
         values = (1 - frac) * lines[j] + frac * lines[j + 1]
-    return CrossSection(run_axis.copy(), np.array(values, float),
-                        "signed" if m.signed else "intensity", (held_name, v))
+    return CrossSection(run_axis, values, "signed" if m.signed else "intensity", (held_name, v))
 
 
 def find_zeros(section: CrossSection, noise_floor: float = DEFAULT_NOISE_FLOOR) -> ZeroSet:
@@ -203,12 +191,14 @@ def find_zeros(section: CrossSection, noise_floor: float = DEFAULT_NOISE_FLOOR) 
     crossings at roundoff amplitude (below :data:`SIGN_CHATTER_FLOOR`
     of the slice peak) are discarded. For intensity data,
     ``noise_floor`` sets the criterion: local minima qualify when their
-    value falls below ``noise_floor`` times the smaller of the two
-    flanking local maxima, with the position refined by a parabolic fit
-    through the bracketing samples. The default floor works for both
-    simulated maps (whose sampled minima sit quadratically above zero,
-    see :data:`DEFAULT_NOISE_FLOOR`) and measured traces (which never
-    reach exact zero).
+    value falls below a floor times the smaller of the two flanking
+    local maxima, with the position refined by a parabolic fit through
+    the bracketing samples. The floor is ``noise_floor`` or, if larger,
+    ``2 sin^2(pi/2P)`` for flanking maxima P samples apart, twice the
+    height at which a sampled ``cos^2`` fringe of that period can bottom
+    out. The default floor works for both simulated maps (whose sampled
+    minima sit quadratically above zero, see :data:`DEFAULT_NOISE_FLOOR`)
+    and measured traces (which never reach exact zero).
     """
     check_noise_floor(noise_floor)
     x = section.axis
@@ -248,7 +238,9 @@ def _intensity_zeros(x, y, noise_floor):
         if k == 0 or k == len(maxima):
             continue
         flank = min(y[maxima[k - 1]], y[maxima[k]])
-        if flank <= 0 or y[i] >= noise_floor * flank:
+        # a sampled cos^2 of period P samples bottoms out up to sin^2(pi/2P) of its flanks
+        floor = max(noise_floor, 2 * math.sin(math.pi / (2 * (maxima[k] - maxima[k - 1]))) ** 2)
+        if flank <= 0 or y[i] >= floor * flank:
             continue
         # parabola through the bracketing triple; vertex clamped inside
         d2 = y[i - 1] - 2 * y[i] + y[i + 1]
@@ -265,7 +257,7 @@ def interior_spacings(spacings) -> np.ndarray:
     just outside the central window; up to two per side are discarded
     when enough remain.
     """
-    s = np.asarray(spacings, float)
+    s = check_array("spacings", spacings, shape=0)
     k = min(2, max(0, (s.size - 3) // 2))
     return s[k : s.size - k] if k else s
 
@@ -335,8 +327,7 @@ def _windowed_section(m, axis_choice, held, center, halfwidth) -> CrossSection:
             "window spans fewer than 3 samples along the "
             f"{axis_choice} axis"
         )
-    return CrossSection(sec.axis[keep], sec.values[keep], sec.kind,
-                        sec.fixed_coordinate)
+    return dataclasses.replace(sec, axis=sec.axis[keep], values=sec.values[keep])
 
 
 def _windowed_zero_pair(m, window, noise_floor):
@@ -418,8 +409,7 @@ def sweep_separation(base: CompassSpec, t0_values, grid: SampleGrid | None = Non
     if grid is None:
         grid = SampleGrid(2048, 0.02, -20.48)
     points = []
-    for t0 in t0_values:
-        t0 = float(t0)
+    for t0 in check_array("t0_values", t0_values, shape=0, rule=None).tolist():
         try:
             spec = dataclasses.replace(base, t0=t0)
             field = compass_state(grid, spec)

@@ -91,7 +91,7 @@ class RunConfig:
     noise_floor: float = DEFAULT_NOISE_FLOOR
     oracle: bool = False
 
-    def validate(self, tau_span=None, t0_values=()):
+    def validate(self, t0_values=()):
         """Raise one error that lists every problem, from the specs' own checks
         (built whatever the state) and from the rules only the CLI has."""
         problems = []
@@ -106,12 +106,8 @@ class RunConfig:
             problems.append(f"--state must be one of {STATES}")
         if not math.isfinite(self.chirp):
             problems.append("--chirp must be finite")
-        if tau_span is not None:
-            steps = tau_span / self.dt if self.dt > 0 else 0.0  # a bad dt is reported above
-            if not (tau_span > 0 and math.isfinite(steps) and round(steps) <= self.n - 1):
-                problems.append(f"--tau-span must be positive and at most (n - 1)*dt, got {tau_span}")
-        if any(v <= 0 for v in t0_values):
-            problems.append("--t0-list values must be positive")
+        if not all(0 < v < math.inf for v in t0_values):
+            problems.append("--t0-list values must be finite and positive")
         if problems:
             raise ConfigError("invalid configuration: " + "; ".join(problems))
         return self
@@ -150,10 +146,18 @@ class RunConfig:
         return f
 
     def tau_axis(self, span=None):
-        """Delays out to ``span`` (default: past the state's own extent), on the grid."""
+        """Delays out to ``span`` (``--tau-span``; default: past the state's own
+        extent, from ``--t0`` or ``--sigma``) on the grid, which must hold it:
+        a ConfigError names the option unless 0 < span <= (n - 1)*dt in steps."""
+        flag = "--tau-span"
         if span is None:
-            span = 2 * self.t0 + 1.0 if self.state == "compass" else 1.0 + 4 * self.sigma
-        steps = int(round(span / self.dt))
+            flag, span = (("--t0", 2 * self.t0 + 1.0) if self.state == "compass"
+                          else ("--sigma", 1.0 + 4 * self.sigma))
+        steps = span / self.dt
+        if not (span > 0 and math.isfinite(steps) and round(steps) <= self.n - 1):
+            raise ConfigError(f"{flag} gives a delay span of {span:g} ps; it must be positive "
+                              f"and at most (n - 1)*dt = {(self.n - 1) * self.dt:g} ps (--n, --dt)")
+        steps = round(steps)
         return self.dt * np.arange(-steps, steps + 1)
 
 
@@ -349,7 +353,7 @@ def simulate(out_path, dry_run, **kw):
 @_guarded
 def frog(out_path, pgm_path, tau_span, dry_run, **kw):
     """Compute a delay-resolved second-harmonic spectrogram."""
-    cfg = _config(kw, tau_span=tau_span)
+    cfg = _config(kw)
     taus = cfg.tau_axis(tau_span)
     f = cfg.field("frog", taus)
     if dry_run:

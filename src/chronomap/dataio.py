@@ -19,7 +19,7 @@ from array import array
 import numpy as np
 
 from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoint
-from .errors import CalibrationError, ConfigError, FormatError, ParseError, check_real
+from .errors import CalibrationError, ConfigError, FormatError, ParseError, check_array, check_real
 from .fieldcore import ComplexField, SampleGrid
 from .transforms import Spectrogram, TimeFrequencyMap, WignerMap
 
@@ -46,52 +46,33 @@ class ExperimentalTrace:
     meta: dict
 
     def __post_init__(self):
-        d = np.asarray(self.delay_axis, float)
-        w = np.asarray(self.wavelength_axis, float)
-        vals = np.asarray(self.intensities, float)
-        for name, ax in (("delay", d), ("wavelength", w)):
-            if ax.ndim != 1 or ax.size < 2:
-                raise ConfigError(f"trace {name} axis must be 1D with >= 2 entries")
-            steps = np.diff(ax)
-            if not (np.all(steps > 0) or np.all(steps < 0)):
-                raise ConfigError(f"trace {name} axis must be strictly monotone")
-        if vals.shape != (d.size, w.size):
-            raise ConfigError(
-                f"intensities shaped {vals.shape}, expected {(d.size, w.size)}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("trace intensities must be finite")
-        if np.any(vals < 0):
-            raise ConfigError("trace intensities must be non-negative")
+        d = check_array("trace delay axis", self.delay_axis, shape=2, rule="strictly monotone")
+        w = check_array("trace wavelength axis", self.wavelength_axis, shape=2,
+                        rule="strictly monotone")
+        vals = check_array("trace intensities", self.intensities, shape=(d.size, w.size),
+                           rule="non-negative")
+        if not isinstance(self.meta, dict):
+            raise ConfigError(f"trace meta must be a dict, got {type(self.meta).__name__}")
         object.__setattr__(self, "delay_axis", d)
         object.__setattr__(self, "wavelength_axis", w)
         object.__setattr__(self, "intensities", vals)
         object.__setattr__(self, "meta", dict(self.meta))
-        for arr in (d, w, vals):
-            arr.setflags(write=False)
 
 
 @dataclasses.dataclass(frozen=True)
 class Calibration:
-    """Wavelength-to-frequency calibration parameters.
-
-    ``speed_of_light`` is fixed by definition; it is a field only so
-    that reports carry the value explicitly.
-    """
+    """Wavelength-to-frequency calibration parameters."""
 
     reference_wavelength: float
     background_floor: float = 0.0
-    speed_of_light: float = SPEED_OF_LIGHT_M_PER_S
 
     def __post_init__(self):
-        check_real(vars(self), reference_wavelength="positive",
-                   background_floor=lambda f: None if 0 <= f < 1 else "must lie in [0, 1)",
-                   speed_of_light=lambda c: None if c == SPEED_OF_LIGHT_M_PER_S else "is not adjustable")
+        check_real(vars(self), reference_wavelength="positive", background_floor="in [0, 1)")
 
 
 def wavelength_to_angular_frequency(wavelength_nm):
     """Absolute angular frequency (rad/ps) for a wavelength in nm."""
-    lam = np.asarray(wavelength_nm, float)
+    lam = check_array("wavelength_nm", wavelength_nm, rule=None)
     if np.any(lam <= 0):
         raise CalibrationError("wavelengths must be positive")
     return 2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS / lam
@@ -282,8 +263,6 @@ def calibrate_to_spectrogram(trace: ExperimentalTrace, cal: Calibration) -> Spec
     survives as the map's ``scale``.
     """
     lam = trace.wavelength_axis
-    if abs(lam[-1] - lam[0]) == 0:
-        raise CalibrationError("degenerate wavelength range")
     w_abs = wavelength_to_angular_frequency(lam)
     w_ref = wavelength_to_angular_frequency(cal.reference_wavelength)
     w_rel = w_abs - w_ref
@@ -326,7 +305,7 @@ def trace_from_spectrogram(m: Spectrogram, cal: Calibration) -> ExperimentalTrac
     intensities = (m.values * m.scale) / jac[None, :]
     order = np.argsort(lam)
     return ExperimentalTrace(
-        m.tau_axis.copy(),
+        m.tau_axis,
         lam[order],
         intensities[:, order],
         {"source": "synthesized", "reference_wavelength_nm": cal.reference_wavelength},

@@ -4,11 +4,14 @@ Three broad families map onto the CLI exit codes: configuration errors
 (bad parameters or requests), data errors (unusable input files or
 samples), and compute errors (valid inputs on which the requested
 quantity does not exist). ``check_real`` is the one check of numeric
-parameters that the spec dataclasses share.
+parameters that the spec dataclasses share, and ``check_array`` the one
+check of array inputs.
 """
 
-import math
 import numbers
+import sys
+
+import numpy as np
 
 
 class ChronoError(Exception):
@@ -59,7 +62,16 @@ class InsufficientStructureError(ComputeError):
 
 
 # The rules a numeric parameter can be held to; each one also means finite.
-RULES = {"finite": lambda v: True, "positive": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+RULES = {"finite": lambda v: True, "positive": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+         "in [0, 1)": lambda v: 0 <= v < 1}
+
+# The rules an array can be held to; each one also means finite.
+ARRAY_RULES = {
+    "finite": lambda a: True,
+    "non-negative": lambda a: a.min(initial=0) >= 0,
+    "strictly increasing": lambda a: bool(np.all(np.diff(a) > 0)),
+    "strictly monotone": lambda a: bool(np.all(np.diff(a) > 0) or np.all(np.diff(a) < 0)),
+}
 
 
 def check_real(values, sequences=None, **rules):
@@ -88,8 +100,39 @@ def check_real(values, sequences=None, **rules):
             wrong = rule(v)
             if wrong:
                 bad.append(f"{name} {wrong}, got {v!r}")
-        elif rule and not all(math.isfinite(x) and RULES[rule](x) for x in xs):
+        # finite: NaN, inf and ints beyond the float range all fail abs(x) <= max
+        elif rule and not all(abs(x) <= sys.float_info.max and RULES[rule](x) for x in xs):
             text = rule if rule == "finite" else f"finite and {rule}"
             bad.append(f"{name} must be {text}, got {v!r}")
     if bad:
         raise ConfigError(*bad)
+
+
+def check_array(name, values, dtype=float, shape=None, rule="finite"):
+    """``values`` as a read-only C-contiguous array of ``dtype``, or one ConfigError naming ``name``.
+
+    ``shape`` is an exact shape tuple, or an int k for a 1D array of at
+    least k entries, or None for any shape. ``rule`` is a key of
+    :data:`ARRAY_RULES`, or None to check nothing but the conversion and
+    the shape. The result is a read-only view of ``values``, copied only
+    when the dtype or memory layout needs it; the caller's array keeps
+    its flags.
+    """
+    dtype = np.dtype(dtype)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        a = None
+    # text, None and other objects, and ints beyond the float range, convert to no number kind
+    if a is None or a.dtype.kind not in ("biufc" if dtype.kind == "c" else "biuf"):
+        kind = "complex" if dtype.kind == "c" else "real"
+        raise ConfigError(f"{name} must be an array of {kind} numbers, got {type(values).__name__}")
+    a = np.asarray(a, dtype=dtype, order="C").view()
+    if isinstance(shape, int) and (a.ndim != 1 or a.size < shape):
+        raise ConfigError(f"{name} must be a 1D array of >= {shape} entries, got shape {a.shape}")
+    if isinstance(shape, tuple) and a.shape != shape:
+        raise ConfigError(f"{name} must be shaped {shape}, got {a.shape}")
+    if rule and not (np.isfinite(a).all() and ARRAY_RULES[rule](a)):
+        raise ConfigError(f"{name} must be {rule if rule == 'finite' else f'finite and {rule}'}")
+    a.flags.writeable = False
+    return a

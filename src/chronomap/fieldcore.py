@@ -17,11 +17,12 @@ convention above.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapingError, SynthesisError, check_real
+from .errors import ConfigError, DomainError, ShapingError, SynthesisError, check_array, check_real
 
 __all__ = [
     "SampleGrid",
@@ -134,23 +135,18 @@ class ComplexField:
     """Complex field samples bound to their grid.
 
     Samples are coerced to complex128, must all be finite, and are
-    frozen read-only after construction; all operations on fields are
-    pure functions returning new objects.
+    copied and frozen read-only on construction; all operations on
+    fields are pure functions returning new objects.
     """
 
     grid: SampleGrid
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.shape != (self.grid.n,):
-            raise ConfigError(
-                f"field has {s.shape} samples for a grid of {self.grid.n}"
-            )
-        if not np.all(np.isfinite(s.view(np.float64))):
-            raise ConfigError("field samples must be finite")
-        s = s.copy()
-        s.flags.writeable = False
+        if not isinstance(self.grid, SampleGrid):
+            raise ConfigError(f"grid must be a SampleGrid, got {type(self.grid).__name__}")
+        s = check_array("field samples", self.samples, complex, (self.grid.n,)).copy()
+        s.flags.writeable = False  # a copy of its own, so no caller can change it
         object.__setattr__(self, "samples", s)
 
 
@@ -173,9 +169,7 @@ def spectrum(f: ComplexField) -> np.ndarray:
 
 def field_from_spectrum(grid: SampleGrid, values: np.ndarray) -> ComplexField:
     """Inverse of :func:`spectrum` on the same grid (exact round trip)."""
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (grid.n,):
-        raise ConfigError(f"spectrum has {values.shape} samples for a grid of {grid.n}")
+    values = check_array("spectrum", values, complex, (grid.n,))
     b = values * np.exp(-1j * grid.ang_freqs() * grid.t_start)
     samples = np.fft.fft(np.fft.ifftshift(b)) / (grid.n * grid.dt)
     return ComplexField(grid, samples)
@@ -265,7 +259,7 @@ class CompassSpec:
 
 
 def _amplitudes(amps):
-    if not (all(math.isfinite(a) and a >= 0 for a in amps) and any(a > 0 for a in amps)):
+    if not (all(0 <= a <= sys.float_info.max for a in amps) and any(a > 0 for a in amps)):
         return "must be finite and >= 0, one of them positive"
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputeError, ConfigError, DomainError
+from .errors import ComputeError, ConfigError, DomainError, check_array, check_real
 from .fieldcore import ComplexField, energy, spectral_support, spectrum, upsample2
 
 __all__ = [
@@ -105,24 +105,12 @@ def _map_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
-def check_axis(name: str, axis, uniform: bool = True) -> np.ndarray:
-    """``axis`` as a float array, checked to be nonempty, finite, 1D and strictly
-    increasing, and if ``uniform`` evenly spaced; a ConfigError names ``name``."""
-    axis = np.asarray(axis, dtype=np.float64)
-    if axis.ndim != 1 or axis.size == 0:
-        raise ConfigError(f"{name} must be a nonempty 1D array")
-    if not np.all(np.isfinite(axis)):
-        raise ConfigError(f"{name} must be finite")
+def check_axis(name: str, axis, size: int = 1) -> np.ndarray:
+    """``axis`` as a read-only float array (see :func:`check_array`): 1D with at
+    least ``size`` entries, finite, strictly increasing and evenly spaced."""
+    axis = check_array(name, axis, shape=size, rule="strictly increasing")
     d = np.diff(axis)
-    if not np.all(d > 0):
-        raise ConfigError(f"{name} must be strictly increasing")
-    if uniform and d.size and not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
+    if d.size and not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
         raise ConfigError(f"{name} must be uniformly spaced")
     return axis
 
@@ -145,20 +133,12 @@ class TimeFrequencyMap:
     def __post_init__(self):
         t = check_axis("time_axis", self.time_axis)
         w = check_axis("freq_axis", self.freq_axis)
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (t.size, w.size):
-            raise ConfigError(
-                f"values shape {v.shape} does not match axes ({t.size}, {w.size})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigError(f"{self.kind} values must be finite")
-        if not self.signed and np.any(v < 0):
-            raise ConfigError(f"{self.kind} values must be non-negative")
-        if not (math.isfinite(self.scale) and self.scale >= 0):
-            raise ConfigError(f"scale must be >= 0, got {self.scale!r}")
-        object.__setattr__(self, "time_axis", _freeze(t))
-        object.__setattr__(self, "freq_axis", _freeze(w))
-        object.__setattr__(self, "values", _freeze(v))
+        v = check_array(f"{self.kind} values", self.values, shape=(t.size, w.size),
+                        rule="finite" if self.signed else "non-negative")
+        check_real({"scale": self.scale}, scale=">= 0")
+        object.__setattr__(self, "time_axis", t)
+        object.__setattr__(self, "freq_axis", w)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "scale", float(self.scale))
 
 
@@ -195,18 +175,12 @@ class OverlapMap:
     values: np.ndarray
 
     def __post_init__(self):
-        dts = check_axis("dt_axis", self.dt_axis, uniform=False)
-        dnus = check_axis("dnu_axis", self.dnu_axis, uniform=False)
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (dts.size, dnus.size):
-            raise ConfigError(
-                f"values shape {v.shape} does not match axes ({dts.size}, {dnus.size})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigError("overlap values must be finite")
-        object.__setattr__(self, "dt_axis", _freeze(dts))
-        object.__setattr__(self, "dnu_axis", _freeze(dnus))
-        object.__setattr__(self, "values", _freeze(v))
+        dts = check_array("dt_axis", self.dt_axis, shape=1, rule="strictly increasing")
+        dnus = check_array("dnu_axis", self.dnu_axis, shape=1, rule="strictly increasing")
+        v = check_array("overlap values", self.values, complex, (dts.size, dnus.size))
+        object.__setattr__(self, "dt_axis", dts)
+        object.__setattr__(self, "dnu_axis", dnus)
+        object.__setattr__(self, "values", v)
 
 
 def check_sampling(field: ComplexField, tau_axis=None, what: str = "transform"):
@@ -228,9 +202,7 @@ def check_sampling(field: ComplexField, tau_axis=None, what: str = "transform"):
         )
     if tau_axis is None:
         return None
-    taus = np.atleast_1d(np.asarray(tau_axis, dtype=np.float64))
-    if taus.ndim != 1 or taus.size == 0:
-        raise ConfigError("tau_axis must be a nonempty 1D array")
+    taus = check_array("tau_axis", tau_axis, shape=1)
     steps = [g.delay_steps(tau) for tau in taus]
     return np.array([s * g.dt for s in steps]), steps
 
@@ -305,6 +277,7 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
         grid span, and the snapped set must be strictly increasing and
         uniform.
     """
+    tau_axis = check_array("tau_axis", tau_axis, shape=1)  # check_sampling reads None as "no delays"
     taus, steps = check_sampling(field, tau_axis, "shg_frog")
     g = field.grid
     n = g.n
@@ -334,9 +307,10 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     evaluated as explicit sums over the time samples for an arbitrary
     uniform ``omega_axis``. O(N^2) per delay; intended for modest grids.
     """
+    tau_axis = check_array("tau_axis", tau_axis, shape=1)  # check_sampling reads None as "no delays"
     taus, steps = check_sampling(field, tau_axis, "quadrature_oracle_frog")
     g = field.grid
-    w = check_axis("omega_axis", np.atleast_1d(omega_axis))
+    w = check_axis("omega_axis", omega_axis)
     P = _shifted_products(field.samples, field.samples, steps)
     kernel = np.exp(1j * np.outer(g.times(), w))
     amps = g.dt * (P @ kernel)
@@ -494,10 +468,8 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
     e0 = energy(field)
     if e0 <= 0:
         raise ComputeError("zero-norm field has no normalized overlap")
-    dts = np.atleast_1d(np.asarray(dt_axis, dtype=np.float64))
-    dnus = np.atleast_1d(np.asarray(dnu_axis, dtype=np.float64))
-    if dts.ndim != 1 or dts.size == 0 or dnus.ndim != 1 or dnus.size == 0:
-        raise ConfigError("shift axes must be nonempty 1D arrays")
+    dts = check_array("dt_axis", dt_axis, shape=1)
+    dnus = check_array("dnu_axis", dnu_axis, shape=1)
     nyq = math.pi / g.dt
     if np.any(np.abs(dnus) > nyq):
         raise DomainError(
@@ -513,8 +485,6 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
         np.all(np.abs(dnus - (w[0] + j * g.dw)) <= 1e-9 * g.dw)
         and np.all((j >= 0) & (j < n))
     )
-    if _method == "fft" and not aligned:
-        raise ConfigError("FFT overlap path needs dnu_axis on the conjugate grid")
     if aligned and _method != "direct":
         phase = g.dt * np.exp(1j * w * g.t_start)
         blocks = _row_blocks(steps.size, n)
@@ -586,8 +556,8 @@ def correspondence_maps(field: ComplexField):
     """Both peak-normalized patterns of the correspondence check, plus residual.
 
     Returns ``(frog, wigner_pattern, residual)`` where both maps share
-    the same (tau, omega) axes. Plumbing for the CLI; the scalar
-    entry point is :func:`correspondence_residual`.
+    the same (tau, omega) axes, for looking at where the two patterns
+    differ; :func:`correspondence_residual` returns the residual alone.
     """
     g = field.grid
     K = g.n // 2 - 1

@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronomap import (
@@ -256,6 +256,22 @@ def test_cell_areas_rejects_wrong_type():
         cell_areas(wm, Window(0, 1, 0, 1))
     with pytest.raises(ConfigError):
         wigner_cell_areas(compass_map(t0=1.5, n=512, dt=0.04), Window(0, 1, 0, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(4.0, 20.0))
+@example(5.0)  # each of these missed the law with a fixed 0.05 depth floor
+@example(7.0)
+def test_cell_areas_meet_the_law_at_four_to_twenty_samples_per_fringe(per_fringe):
+    # frequency fringes are pi/t0 apart, so t0 = n*dt/(2P) puts P samples in each;
+    # n is the power of two that keeps t0 in the reference range [1.25, 2.5) ps
+    dt = 0.02
+    n = 2 ** int(np.ceil(np.log2(2.5 * per_fringe / dt)))
+    t0 = n * dt / (2 * per_fringe)
+    f = compass_state(make_grid(n, dt, -n * dt / 2), CompassSpec(t0, OMEGA0, SIGMA))
+    steps = int(round((t0 + 0.5) / dt))
+    rep = cell_areas(shg_frog(f, dt * np.arange(-steps, steps + 1)), Window(0, t0, 0, OMEGA0))
+    npt.assert_allclose(rep.mean_area, np.pi**2 / (t0 * OMEGA0), rtol=2e-2)
 
 
 # ----------------------------------------------------- Wigner cell areas

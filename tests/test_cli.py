@@ -337,6 +337,15 @@ def test_single_delay_block_trace_exits_3(tmp_path):
     assert "one.csv" in all_text(result)
 
 
+def test_infinite_trace_axis_exits_3(tmp_path):
+    csv = tmp_path / "inf.csv"
+    csv.write_text("delay_ps,wavelength_nm,intensity\n0,780,1\n0,781,2\ninf,780,1\ninf,781,2\n")
+    result = invoke("ingest", "--input", str(csv), "--out", str(tmp_path / "m"))
+    assert result.exit_code == 3, all_text(result)
+    assert all_text(result).startswith(f"error: {csv}: trace delay axis must be finite")
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv-long", "csv-matrix"])
 def test_non_utf8_trace_exits_3(tmp_path, fmt):
     csv = tmp_path / "latin1.csv"

@@ -50,6 +50,19 @@ ROWS = [
                              "--tau-span", "40.94"), 0, None),  # (n - 1)*dt
     ("t0-list", ("sweep", "--dry-run", "--out", "unused.dat",
                  "--t0-list", "1,-2"), 2, "--t0-list"),
+    ("t0-list-non-finite", ("sweep", "--dry-run", "--out", "unused.dat",
+                            "--t0-list", "nan,1e309"), 2, "--t0-list"),
+    ("t0-list-inf", ("sweep", "--dry-run", "--out", "unused.dat",
+                     "--t0-list", "1,1e309"), 2, "--t0-list"),
+    # the default delay span, 2*t0 + 1 (compass) or 1 + 4*sigma, must fit the grid too
+    ("t0-span-past-grid", ("frog", "--dry-run", "--out", "unused.chronomap",
+                           "--t0", "1e200"), 2, "--t0"),
+    ("t0-span-past-grid-areas", ("areas", "--dry-run", "--out", "unused.json",
+                                 "--t0", "1e300"), 2, "--t0"),
+    ("sigma-span-past-grid", ("frog", "--dry-run", "--out", "unused.chronomap",
+                              "--state", "gaussian", "--sigma", "1e300"), 2, "--sigma"),
+    ("dt-span-overflow", ("frog", "--dry-run", "--out", "unused.chronomap",
+                          "--n", "16", "--dt", "1e-320"), 2, "--dt"),
     ("t0-list-text", ("sweep", "--dry-run", "--out", "unused.dat",
                       "--t0-list", "1,two"), 2, "--t0-list"),
     ("window-count", ("areas", "--dry-run", "--out", "unused.json",

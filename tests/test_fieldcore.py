@@ -7,24 +7,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronomap import (
+    Calibration,
+    CellAreaReport,
+    ChronoError,
     CompassSpec,
     ComplexField,
     ConfigError,
+    CrossSection,
+    ExperimentalTrace,
+    OverlapMap,
     PulseSpec,
     SampleGrid,
     ShaperMask,
     ShapingError,
+    Spectrogram,
     SynthesisError,
+    WignerMap,
     Window,
+    ZeroSet,
     apply_shaper,
     compass_state,
+    cross_section,
     energy,
     field_from_spectrum,
+    find_zeros,
     gaussian_pulse,
+    interior_spacings,
     make_grid,
+    overlap_map,
+    quadrature_oracle_frog,
+    shg_frog,
     spectrum,
+    sweep_separation,
     upsample2,
+    wavelength_to_angular_frequency,
 )
+from chronomap.transforms import check_axis
 
 OMEGA0 = np.pi * 3.3  # rad/ps
 SIGMA = 0.25  # ps
@@ -352,6 +370,7 @@ def test_shaper_four_pulse_construction():
 
 # ------------------------------------------------ parameter types
 
+AXIS3, AXIS4 = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)
 VALID_PARAMETERS = {
     SampleGrid: dict(n=64, dt=0.1, t_start=0.0),
     PulseSpec: dict(center_time=0.0, center_ang_freq=0.0, sigma=0.5, amplitude=1.0, phase=0.0),
@@ -359,9 +378,56 @@ VALID_PARAMETERS = {
                       phases=(0, 0, 0, 0)),
     ShaperMask: dict(mask_t0=0.0, block_center=0.0, block_halfwidth=0.0),
     Window: dict(tau_center=0.0, tau_halfwidth=1.0, omega_center=0.0, omega_halfwidth=1.0),
+    Calibration: dict(reference_wavelength=782.0, background_floor=0.0),
+    # types that hold arrays: an array parameter gets bad arrays, the others bad scalars
+    ComplexField: dict(grid=SampleGrid(16, 0.1, 0.0), samples=np.ones(16, complex)),
+    Spectrogram: dict(time_axis=AXIS3, freq_axis=AXIS4, values=np.ones((3, 4)), scale=1.0),
+    WignerMap: dict(time_axis=AXIS3, freq_axis=AXIS4, values=-np.ones((3, 4)), scale=1.0),
+    OverlapMap: dict(dt_axis=AXIS3, dnu_axis=AXIS4, values=np.ones((3, 4), complex)),
+    CrossSection: dict(axis=AXIS4, values=np.ones(4), kind="intensity",
+                       fixed_coordinate=("delay", 0.0)),
+    ZeroSet: dict(positions=AXIS3, method="sign-change"),
+    CellAreaReport: dict(tau_spacings=AXIS3, omega_spacings=AXIS4, cell_areas=np.ones(12),
+                         mean_area=0.5, sub_fourier=False, window=Window(0, 1, 0, 1)),
+    ExperimentalTrace: dict(delay_axis=AXIS3, wavelength_axis=780 + AXIS4,
+                            intensities=np.ones((3, 4)), meta={}),
 }
+UNCHECKED = {"fixed_coordinate", "method", "sub_fourier", "window"}  # free-form labels
 NON_NUMERIC = st.one_of(st.text(max_size=4), st.none(), st.builds(object),
-                        st.complex_numbers(max_magnitude=10))
+                        st.complex_numbers(max_magnitude=10), st.just(10**400))
+# (type, parameter, kind of bad value) that the type accepts on purpose
+ACCEPTED = {
+    (CrossSection, "values", "non-finite"),  # find_zeros rejects these as data
+    (ZeroSet, "positions", "empty"),  # a slice without zeros
+    (CellAreaReport, "tau_spacings", "empty"),  # one-axis reports
+    (CellAreaReport, "omega_spacings", "empty"),
+    (CellAreaReport, "cell_areas", "empty"),
+    (CellAreaReport, "mean_area", "None"),
+}
+
+
+def _with_entry(valid, x):
+    """``valid`` as nested lists, with its middle entry replaced by ``x``."""
+    a = valid.astype(object)
+    a.flat[a.size // 2] = x
+    return a.tolist()
+
+
+def bad_values(valid):
+    """``(kind, value)`` pairs that break a parameter whose valid value is ``valid``."""
+    scalars = NON_NUMERIC.map(lambda v: ("None" if v is None else "non-numeric", v))
+    if not isinstance(valid, np.ndarray):
+        return scalars
+    return st.one_of(
+        scalars,
+        st.just(("ragged", [valid.tolist(), [1.0]])),
+        st.sampled_from([np.nan, np.inf, -np.inf]).map(
+            lambda x: ("non-finite", _with_entry(valid, x))),
+        st.just(("huge entry", _with_entry(valid, 10**400))),
+        st.just(("0-D", np.array(1.0))),
+        st.just(("2-D", np.ones((2, 2)))),
+        st.just(("empty", np.empty((0,) * valid.ndim))),
+    )
 
 
 @pytest.mark.parametrize("build, name", [
@@ -377,16 +443,60 @@ def test_non_numeric_parameters_are_config_errors(build, name):
     assert str(info.value).startswith(f"{name} must be ")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(VALID_PARAMETERS)), st.data())
 def test_non_numeric_parameters_raise_only_config_errors(cls, data):
     kwargs = dict(VALID_PARAMETERS[cls])
-    name = data.draw(st.sampled_from(sorted(kwargs)))
-    bad = data.draw(NON_NUMERIC)
+    name = data.draw(st.sampled_from(sorted(set(kwargs) - UNCHECKED)))
+    kind, bad = data.draw(bad_values(kwargs[name]))
     if isinstance(kwargs[name], tuple) and data.draw(st.booleans()):
         i = data.draw(st.integers(0, 3))  # one bad entry of a four-value parameter
         bad = kwargs[name][:i] + (bad,) + kwargs[name][i + 1:]
     kwargs[name] = bad
-    with pytest.raises(ConfigError) as info:
+    try:
         cls(**kwargs)
-    assert name in str(info.value)  # "" is an empty sequence: 'amplitudes and phases must hold four values'
+    except ConfigError as exc:
+        # text "" is an empty sequence: "amplitudes must be 4 real numbers, got ''"
+        assert name in str(exc) or name.replace("_", " ") in str(exc)  # "trace delay axis"
+    else:
+        assert (cls, name, kind) in ACCEPTED
+
+
+FIELD = gaussian_pulse(SampleGrid(128, 0.05, -3.2), PulseSpec(0.0, 0.0, 0.3))
+SECTION = CrossSection(AXIS4, np.ones(4), "intensity", ("delay", 0.0))
+# entry point -> (call with one input replaced, that input's valid value)
+ENTRY_POINTS = {
+    "check_axis": (lambda x: check_axis("axis", x), AXIS4),
+    "shg_frog tau_axis": (lambda x: shg_frog(FIELD, x), 0.05 * np.arange(-2.0, 3.0)),
+    "overlap_map dt_axis": (lambda x: overlap_map(FIELD, x, [0.0]), 0.05 * np.arange(3.0)),
+    "overlap_map dnu_axis": (lambda x: overlap_map(FIELD, [0.0], x), np.zeros(1)),
+    "quadrature_oracle_frog omega_axis": (
+        lambda x: quadrature_oracle_frog(FIELD, [0.0], x), AXIS4),
+    "field_from_spectrum": (lambda x: field_from_spectrum(FIELD.grid, x), np.zeros(128, complex)),
+    "interior_spacings": (interior_spacings, AXIS4),
+    "cross_section fixed_value": (
+        lambda x: cross_section(Spectrogram(AXIS3, AXIS4, np.ones((3, 4)), 1.0), "delay", x), 0.0),
+    "find_zeros noise_floor": (lambda x: find_zeros(SECTION, x), 0.05),
+    "sweep_separation t0_values": (
+        lambda x: sweep_separation(CompassSpec(1.0, 3.0, 0.3), x, FIELD.grid), np.ones(1)),
+    "wavelength_to_angular_frequency": (wavelength_to_angular_frequency, 780 + AXIS4),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), st.data())
+def test_bad_inputs_to_entry_points_raise_only_chrono_errors(entry, data):
+    call, valid = ENTRY_POINTS[entry]
+    call(valid)
+    _, bad = data.draw(bad_values(valid))
+    try:
+        call(bad)
+    except ChronoError:
+        pass
+
+
+def test_maps_keep_a_view_of_the_callers_values():
+    v = np.ones((3, 4))
+    m = Spectrogram(AXIS3, AXIS4, v, 1.0)
+    assert np.shares_memory(m.values, v) and not m.values.flags.writeable
+    assert v.flags.writeable
