@@ -4,6 +4,8 @@ Native text formats are diff-able and round-trip bitwise: maps under a
 ``CHRONO-MAP v1`` header, sampled fields under ``CHRONO-FIELD v1``.
 Measured traces arrive as CSV (long or matrix layout) with wavelength
 axes in nm and are calibrated onto uniform angular-frequency grids.
+All three are UTF-8 text read by one line rule: lines end at LF, CR or
+CRLF, and errors name the physical line.
 """
 
 import contextlib
@@ -102,19 +104,24 @@ def _built(cls, error, where, *args):
         raise error(f"{where}: {exc}") from None
 
 
-def _data_lines(fh, path):
-    """Yield ``(lineno, stripped)`` for each non-blank line of a text file.
-
-    Lines end at LF, CR or CRLF. Bytes that are not UTF-8 raise
-    :class:`ParseError` wherever in the file they appear.
-    """
+def _lines(fh, path, error):
+    """Yield ``(lineno, line)`` per line of a UTF-8 text handle; lines end at LF, CR or CRLF,
+    which is removed. Bytes that are not UTF-8 raise ``error`` wherever they are."""
     try:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                yield lineno, line
+            yield lineno, line.rstrip("\n")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _float_rows(path, rows, out, message):
+    """Parse each ``(lineno, line)`` of ``rows`` into the same row of ``out``; a bad token
+    is named first, then a row of the wrong length raises ``path:lineno: message``."""
+    for (lineno, line), dest in zip(rows, out):
+        row = _parse_floats(line.split(), path, lineno)
+        if len(row) != len(dest):
+            raise FormatError(f"{path}:{lineno}: {message}")
+        dest[:] = row
 
 
 def _load_trace_long(path, lines):
@@ -209,9 +216,10 @@ def load_trace(path, format: str = "csv-long",
     (``# delay_ps:`` and ``# wavelength_nm:`` axis lines, then one
     comma-separated row per delay). ``negative_policy`` decides whether
     negative baseline entries reject the file or clamp to zero; clamped
-    cells are counted in ``meta["clamped_count"]``. Blank lines are
-    skipped and fields may carry surrounding spaces; the file is read
-    one line at a time.
+    cells are counted in ``meta["clamped_count"]``. The file is UTF-8
+    text whose lines end at LF, CR or CRLF, read one line at a time;
+    blank lines are skipped, fields may carry surrounding spaces, and
+    errors name the physical line.
     """
     if format not in ("csv-long", "csv-matrix"):
         raise ConfigError(f"unknown trace format {format!r}")
@@ -219,7 +227,8 @@ def load_trace(path, format: str = "csv-long",
         raise ConfigError(f"unknown negative policy {negative_policy!r}")
     loader = _load_trace_long if format == "csv-long" else _load_trace_matrix
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh, path)
+        lines = ((lineno, line) for lineno, raw in _lines(fh, path, ParseError)
+                 if (line := raw.strip()))
         first = next(lines, None)
         if first is None:
             raise ParseError(f"{path}: empty file")
@@ -426,34 +435,30 @@ def _save_pgm(values, path):
         fh.write(gray.tobytes())
 
 
-def _text_lines(path, magic):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a {magic} file (binary content)") from None
-
-
 def load_map(path):
-    """Read a native-format map back as a Spectrogram or WignerMap."""
-    lines = _text_lines(path, MAP_MAGIC)
-    if not lines or lines[0].split(" v")[0] != MAP_MAGIC.split(" v")[0]:
-        raise FormatError(f"{path}: not a {MAP_MAGIC} file")
-    if lines[0] != MAP_MAGIC:
-        raise FormatError(f"{path}: unsupported version {lines[0]!r}")
-    if len(lines) < 4:
-        raise FormatError(f"{path}: truncated header")
-    header = lines[1].split()
-    if len(header) != 4 or not header[3].startswith("scale="):
-        raise FormatError(f"{path}:2: malformed map header")
-    kind = header[0]
-    if kind not in _MAP_TYPES:
-        raise FormatError(f"{path}:2: unknown map kind {kind!r}")
-    (scale,) = _parse_floats([header[3][len("scale="):]], path, 2)
-    ax1 = np.array(_parse_floats(lines[2].split(), path, 3))
-    ax2 = np.array(_parse_floats(lines[3].split(), path, 4))
-    rows = [(lineno, ln) for lineno, ln in enumerate(lines[4:], 5) if ln.strip()]
+    """Read a native-format map back as a Spectrogram or WignerMap.
+
+    Blank lines after its 4-line header are skipped.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _lines(fh, path, FormatError)
+        head = [line for _, line in itertools.islice(lines, 4)]
+        if not head or head[0].split(" v")[0] != MAP_MAGIC.split(" v")[0]:
+            raise FormatError(f"{path}: not a {MAP_MAGIC} file")
+        if head[0] != MAP_MAGIC:
+            raise FormatError(f"{path}: unsupported version {head[0]!r}")
+        if len(head) < 4:
+            raise FormatError(f"{path}: truncated header")
+        header = head[1].split()
+        if len(header) != 4 or not header[3].startswith("scale="):
+            raise FormatError(f"{path}:2: malformed map header")
+        kind = header[0]
+        if kind not in _MAP_TYPES:
+            raise FormatError(f"{path}:2: unknown map kind {kind!r}")
+        (scale,) = _parse_floats([header[3][len("scale="):]], path, 2)
+        ax1 = np.array(_parse_floats(head[2].split(), path, 3))
+        ax2 = np.array(_parse_floats(head[3].split(), path, 4))
+        rows = [(lineno, line) for lineno, line in lines if line.strip()]
     if len(rows) != ax1.size:
         raise FormatError(
             f"{path}: expected {ax1.size} value rows, found {len(rows)} (truncated?)"
@@ -462,16 +467,8 @@ def load_map(path):
     if _splits(values.size):  # the forked child parses into shared pages
         buf = mmap.mmap(-1, values.nbytes, flags=mmap.MAP_SHARED)
         values = np.frombuffer(buf).reshape(values.shape)
-
-    def parse_rows(lo, hi):
-        for i in range(lo, hi):
-            lineno, ln = rows[i]
-            row = _parse_floats(ln.split(), path, lineno)
-            if len(row) != ax2.size:
-                raise FormatError(f"{path}:{lineno}: expected {ax2.size} values per row")
-            values[i] = row
-
-    _fork_rows(len(rows), values.size, parse_rows)
+    _fork_rows(len(rows), values.size, lambda lo, hi: _float_rows(
+        path, rows[lo:hi], values[lo:hi], f"expected {ax2.size} values per row"))
     return _built(_MAP_TYPES[kind], FormatError, path, ax1, ax2, values, scale)
 
 
@@ -486,30 +483,29 @@ def save_field(f: ComplexField, path):
 
 
 def load_field(path) -> ComplexField:
-    lines = _text_lines(path, FIELD_MAGIC)
-    if not lines or lines[0] != FIELD_MAGIC:
-        raise FormatError(f"{path}: not a {FIELD_MAGIC} file")
-    if len(lines) < 2:
-        raise FormatError(f"{path}: truncated header")
-    parts = lines[1].split()
-    if len(parts) != 3:
-        raise FormatError(f"{path}:2: expected 'n dt t_start'")
-    try:
-        n = int(parts[0])
-    except ValueError:
-        raise FormatError(f"{path}:2: sample count is not an integer: {parts[0]!r}") from None
-    dt, t_start = _parse_floats(parts[1:], path, 2)
-    grid = _built(SampleGrid, FormatError, f"{path}:2", n, dt, t_start)
-    rows = [(lineno, ln) for lineno, ln in enumerate(lines[2:], 3) if ln.strip()]
+    """Read a sampled field; blank lines after its 2-line header are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _lines(fh, path, FormatError)
+        head = [line for _, line in itertools.islice(lines, 2)]
+        if not head or head[0] != FIELD_MAGIC:
+            raise FormatError(f"{path}: not a {FIELD_MAGIC} file")
+        if len(head) < 2:
+            raise FormatError(f"{path}: truncated header")
+        parts = head[1].split()
+        if len(parts) != 3:
+            raise FormatError(f"{path}:2: expected 'n dt t_start'")
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise FormatError(f"{path}:2: sample count is not an integer: {parts[0]!r}") from None
+        dt, t_start = _parse_floats(parts[1:], path, 2)
+        grid = _built(SampleGrid, FormatError, f"{path}:2", n, dt, t_start)
+        rows = [(lineno, line) for lineno, line in lines if line.strip()]
     if len(rows) != n:
         raise FormatError(f"{path}: expected {n} sample rows, found {len(rows)}")
-    samples = np.empty(n, complex)
-    for i, (lineno, ln) in enumerate(rows):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 're im'")
-        samples[i] = complex(*_parse_floats(parts, path, lineno))
-    return _built(ComplexField, FormatError, path, grid, samples)
+    pairs = np.empty((n, 2))
+    _float_rows(path, rows, pairs, "expected 're im'")
+    return _built(ComplexField, FormatError, path, grid, pairs.view(complex).ravel())
 
 
 # --------------------------------------------------------------- exports

@@ -106,19 +106,19 @@ class SampleGrid:
         Raises
         ------
         ConfigError
-            If ``tau`` is not a multiple of ``dt`` (tolerance 1e-6 dt).
+            If ``tau`` is not finite or not a multiple of ``dt`` (tolerance 1e-6 dt).
         DomainError
             If the shift exceeds the grid span.
         """
-        if not math.isfinite(tau):
-            raise ConfigError(f"delay must be finite, got {tau!r}")
-        s = round(tau / self.dt)
+        check_real({"delay": tau}, delay="finite")
+        steps = float(tau) / self.dt  # inf when tau nears the float limit and dt is tiny
+        if abs(steps) > self.n - 0.5:
+            raise DomainError(f"delay {tau} ps exceeds the grid span of {self.n * self.dt} ps")
+        s = round(steps)
         if abs(tau - s * self.dt) > 1e-6 * self.dt:
             raise ConfigError(
                 f"delay {tau} ps is not on the sample lattice (step {self.dt} ps)"
             )
-        if abs(s) > self.n - 1:
-            raise DomainError(f"delay {tau} ps exceeds the grid span of {self.n * self.dt} ps")
         return int(s)
 
 
@@ -351,7 +351,7 @@ def chirped_gaussian(grid: SampleGrid, sigma: float, chirp: float,
                center_ang_freq="finite", amplitude="positive", phase="finite")
     _check_time_span(grid, center_time - 5 * sigma, center_time + 5 * sigma, "pulse")
     # Chirp broadens the spectrum by sqrt(1 + chirp^2).
-    _check_freq_span(grid, abs(center_ang_freq) + 5.0 * math.sqrt(1 + chirp**2) / sigma,
+    _check_freq_span(grid, abs(center_ang_freq) + 5.0 * math.hypot(1.0, chirp) / sigma,
                      f"carrier {center_ang_freq:g} rad/ps (chirped)")
     t = grid.times()
     samples = amplitude * np.exp(

@@ -26,6 +26,7 @@ from chronomap import (
     Window,
     ZeroSet,
     apply_shaper,
+    chirped_gaussian,
     compass_state,
     cross_section,
     energy,
@@ -103,6 +104,15 @@ def test_delay_snapping():
 
     with pytest.raises(DomainError):
         g.delay_steps(1000.0)
+    # beyond the float range, or a quotient tau / dt that rounds to no integer
+    with pytest.raises(ConfigError, match="delay must be finite"):
+        SampleGrid(64, 0.1, 0.0).delay_steps(10**400)
+    with pytest.raises(DomainError):
+        SampleGrid(16, 1e-310, 0.0).delay_steps(1e300)
+    f = gaussian_pulse(SampleGrid(128, 0.05, -3.2), PulseSpec(0.0, 0.0, 0.3))
+    for call in (lambda: shg_frog(f, [1e308]), lambda: overlap_map(f, [1e308], [0.0])):
+        with pytest.raises(DomainError):
+            call()
 
 
 # ---------------------------------------------------------------- fields
@@ -180,6 +190,8 @@ def test_gaussian_span_violations():
     g2 = make_grid(1024, 0.02, -10.24)
     with pytest.raises(SynthesisError, match="carrier"):
         gaussian_pulse(g2, PulseSpec(0, 200.0, SIGMA))  # beyond the frequency span
+    with pytest.raises(SynthesisError, match="chirped"):
+        chirped_gaussian(g2, SIGMA, 1e300)  # a bandwidth past the float range of chirp**2
 
 
 def test_pulse_spec_validation():
@@ -488,7 +500,9 @@ ENTRY_POINTS = {
 def test_bad_inputs_to_entry_points_raise_only_chrono_errors(entry, data):
     call, valid = ENTRY_POINTS[entry]
     call(valid)
-    _, bad = data.draw(bad_values(valid))
+    huge = st.sampled_from([1e308, -1e308]).map(  # finite, but tau / dt may overflow
+        lambda x: ("huge", _with_entry(valid, x) if isinstance(valid, np.ndarray) else x))
+    _, bad = data.draw(st.one_of(bad_values(valid), huge))
     try:
         call(bad)
     except ChronoError:

@@ -466,10 +466,14 @@ def test_non_utf8_bytes_mid_trace_are_parse_errors(tmp_path):
 
 
 def test_non_utf8_field_is_format_error(tmp_path):
-    p = tmp_path / "f.chronofield"
-    p.write_bytes(b"CHRONO-FIELD v1\n16 0.5 -4.0\n\xff\xfe 0\n")
-    with pytest.raises(FormatError, match="f.chronofield"):
-        load_field(str(p))
+    # maps read their lines the same way
+    for loader, name, head in ((load_field, "f.chronofield", b"CHRONO-FIELD v1\n16 0.5 -4.0\n"),
+                               (load_map, "m.chronomap", MAP_HEAD.encode())):
+        p = tmp_path / name
+        p.write_bytes(head + b"\xff\xfe 0\n")
+        with pytest.raises(FormatError) as info:
+            loader(str(p))
+        assert str(info.value) == f"{p}: not UTF-8 text (invalid start byte)"
 
 
 def test_field_grid_and_sample_errors_are_format_errors(tmp_path):
@@ -497,18 +501,27 @@ def test_map_errors_name_the_physical_line(tmp_path, row, error, message):
     assert str(info.value) == f"{path}:7: {message}"
 
 
-@pytest.mark.parametrize("row,message", [
-    ("0.0 x", "not a number: 'x'"),
-    ("0.0", "expected 're im'"),
+@pytest.mark.parametrize("row,message,newline", [
+    pytest.param(row, message, newline, id=f"{row}-{message}{suffix}")
+    for newline, suffix in (("\n", ""), ("\r\n", "-CRLF"), ("\r", "-CR"))
+    for row, message in (("0.0 x", "not a number: 'x'"), ("0.0", "expected 're im'"),
+                         ("0.0 x 1", "not a number: 'x'"))  # the bad token before the count
 ])
-def test_field_errors_name_the_physical_line(tmp_path, row, message):
+def test_field_errors_name_the_physical_line(tmp_path, row, message, newline):
     # samples start on line 3; blank lines 4 and 6 put the bad row on line 7
-    rows = ["0.0 0.0", "", "0.0 0.0", "", row] + ["0.0 0.0"] * 13
+    lines = ["CHRONO-FIELD v1", "16 0.5 -4.0", "0.0 0.0", "", "0.0 0.0", "", row]
     path = _write_bytes(tmp_path, "blank.chronofield",
-                        "CHRONO-FIELD v1\n16 0.5 -4.0\n" + "\n".join(rows) + "\n")
+                        newline.join(lines + ["0.0 0.0"] * 13) + newline)
     with pytest.raises(FormatError if "re im" in message else ParseError) as info:
         load_field(path)
     assert str(info.value) == f"{path}:7: {message}"
+
+
+def test_map_values_may_be_separated_by_a_form_feed(tmp_path):
+    # str.split() separates values at these characters; only LF, CR and CRLF end a line
+    for sep in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        path = _write_bytes(tmp_path, "sep.chronomap", MAP_HEAD + f"1{sep}1 1 1\n2 2 2{sep}2\n")
+        assert np.array_equal(load_map(path).values, [[1, 1, 1, 1], [2, 2, 2, 2]])
 
 
 def test_single_delay_block_is_parse_error(tmp_path):
