@@ -22,7 +22,8 @@ from .errors import (
     check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
-from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, check_axis, shg_frog
+from .transforms import (BLOCK_CELLS, Spectrogram, TimeFrequencyMap, WignerMap, check_axis,
+                         shg_frog)
 
 SUB_FOURIER_LIMIT = 0.5
 
@@ -395,6 +396,12 @@ def wigner_cell_areas(m: WignerMap, window: Window | None = None) -> CellAreaRep
     return _build_report(*_windowed_zero_pair(m, window, 0.0))
 
 
+def compass_plan(spec: CompassSpec):
+    """How a compass state's spectrogram is measured: the delay span ``2*t0 + 1`` ps,
+    past its pulse pair, and the central window out to its pulses and carriers."""
+    return 2 * spec.t0 + 1.0, Window(0.0, spec.t0, 0.0, spec.omega0)
+
+
 def sweep_separation(base: CompassSpec, t0_values, grid: SampleGrid | None = None,
                      noise_floor: float = DEFAULT_NOISE_FLOOR) -> tuple:
     """Run the pulse-separation sweep: state, spectrogram, cell areas.
@@ -413,11 +420,8 @@ def sweep_separation(base: CompassSpec, t0_values, grid: SampleGrid | None = Non
         try:
             spec = dataclasses.replace(base, t0=t0)
             field = compass_state(grid, spec)
-            tau_max = 2 * t0 + 1.0
-            steps = int(round(tau_max / grid.dt))
-            taus = grid.dt * np.arange(-steps, steps + 1)
-            window = Window(0.0, t0, 0.0, base.omega0)
-            report = cell_areas(shg_frog(field, taus), window, noise_floor)
+            span, window = compass_plan(spec)
+            report = cell_areas(shg_frog(field, grid.delay_axis(span)), window, noise_floor)
             points.append(SweepPoint(t0, report.mean_area, report.sub_fourier, "ok"))
         except (ConfigError, ComputeError, DataError) as exc:
             points.append(SweepPoint(t0, None, None, "error", str(exc)))
@@ -430,7 +434,8 @@ def _resample_bilinear(values, ax_t, ax_w, ts, ws):
     Both grids ascend and the targets lie inside the source axes. Rows
     are interpolated along the time-like axis first, then columns along
     the frequency axis; a target on the last node takes the last
-    interval at offset 1.
+    interval at offset 1. Target rows are blended in blocks of about
+    ``BLOCK_CELLS`` source cells, so no temporary is map-sized.
     """
 
     def weights(axis, x):
@@ -438,9 +443,14 @@ def _resample_bilinear(values, ax_t, ax_w, ts, ws):
         return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
     i, y = weights(ax_t, ts)
-    rows = values[i] * (1 - y)[:, None] + values[i + 1] * y[:, None]
     j, z = weights(ax_w, ws)
-    return rows[:, j] * (1 - z) + rows[:, j + 1] * z
+    out = np.empty((ts.size, ws.size))
+    step = max(1, BLOCK_CELLS // values.shape[1])
+    for lo in range(0, ts.size, step):
+        k, f = i[lo : lo + step], y[lo : lo + step, None]
+        rows = values[k] * (1 - f) + values[k + 1] * f
+        out[lo : lo + step] = rows[:, j] * (1 - z) + rows[:, j + 1] * z
+    return out
 
 
 def compare_maps(a, b) -> float:
@@ -465,13 +475,15 @@ def compare_maps(a, b) -> float:
     ws = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / step_w)) + 1))
     for m, ax_t, ax_w in ((a, ax_t_a, ax_w_a), (b, ax_t_b, ax_w_b)):
         patch = _resample_bilinear(m.values, ax_t, ax_w, ts, ws).ravel()
-        peak = np.max(np.abs(patch))
+        peak = max(patch.max(), -patch.min())
         if peak == 0:
             raise ComputeError("map is identically zero on the shared region")
-        patches.append(patch / peak)
+        patch /= peak
+        patch -= patch.mean()  # centered in place: the correlation needs no other copy
+        patches.append(patch)
     x, y = patches
-    sx, sy = x.std(), y.std()
-    if sx == 0 or sy == 0:
+    sxx, syy = x @ x, y @ y
+    if sxx == 0 or syy == 0:
         raise ComputeError("map has no variation on the shared region")
-    r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+    r = float(x @ y / (math.sqrt(sxx) * math.sqrt(syy)))
     return max(-1.0, min(1.0, r))

@@ -11,7 +11,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import dataio
 from .analysis import (
@@ -20,12 +19,13 @@ from .analysis import (
     cell_areas,
     check_noise_floor,
     compare_maps,
+    compass_plan,
     cross_section,
     find_zeros,
     sweep_separation,
     wigner_cell_areas,
 )
-from .errors import ComputeError, ConfigError, DataError
+from .errors import ComputeError, ConfigError, DataError, DomainError
 from .fieldcore import (
     CompassSpec,
     PulseSpec,
@@ -122,16 +122,12 @@ class RunConfig:
     def mask(self):
         return ShaperMask(self.mask_t0, self.block_center, self.block_halfwidth)
 
-    def window(self):
-        """The central window of a compass state: out to its pulses and carriers."""
-        return Window(0.0, self.t0, 0.0, self.omega0)
-
-    def field(self, what=None, taus=None):
+    def field(self, what=None):
         """The configured field; given a transform name ``what``, checked that it can
-        feed that transform at the delays ``taus`` (see :func:`check_sampling`)."""
+        feed that transform (see :func:`check_sampling`)."""
         f = self.build_field(self.grid())
         if what is not None:
-            check_sampling(f, taus, what)
+            check_sampling(f, what)
         return f
 
     def build_field(self, grid):
@@ -146,19 +142,17 @@ class RunConfig:
         return f
 
     def tau_axis(self, span=None):
-        """Delays out to ``span`` (``--tau-span``; default: past the state's own
-        extent, from ``--t0`` or ``--sigma``) on the grid, which must hold it:
-        a ConfigError names the option unless 0 < span <= (n - 1)*dt in steps."""
+        """The grid's delay axis (:meth:`SampleGrid.delay_axis`) out to ``span``
+        (``--tau-span``; default: past the state's own extent, from ``--t0`` or
+        ``--sigma``); a span the grid cannot hold is a ConfigError naming the option."""
         flag = "--tau-span"
         if span is None:
-            flag, span = (("--t0", 2 * self.t0 + 1.0) if self.state == "compass"
+            flag, span = (("--t0", compass_plan(self.compass())[0]) if self.state == "compass"
                           else ("--sigma", 1.0 + 4 * self.sigma))
-        steps = span / self.dt
-        if not (span > 0 and math.isfinite(steps) and round(steps) <= self.n - 1):
-            raise ConfigError(f"{flag} gives a delay span of {span:g} ps; it must be positive "
-                              f"and at most (n - 1)*dt = {(self.n - 1) * self.dt:g} ps (--n, --dt)")
-        steps = round(steps)
-        return self.dt * np.arange(-steps, steps + 1)
+        try:
+            return self.grid().delay_axis(span)
+        except DomainError as exc:
+            raise ConfigError(f"{flag}: {exc} (--n, --dt)") from None
 
 
 def _dry(name):
@@ -309,7 +303,7 @@ def _figure_bundle(figure, out_dir, dry_run, stamp):
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in names]
     taus = cfg.tau_axis() if figure in ("3", "5a") else None
-    f = cfg.field({"3": "frog", "4": "wigner", "5a": "areas"}.get(figure), taus)
+    f = cfg.field({"3": "frog", "4": "wigner", "5a": "areas"}.get(figure))
     if dry_run:
         return _dry(f"figure {figure}")
     if figure in ("3", "4"):
@@ -318,7 +312,7 @@ def _figure_bundle(figure, out_dir, dry_run, stamp):
         for axis, path in zip(("delay", "frequency"), paths[2:]):
             _export(cross_section(m, axis, 0.0), path, stamp)
     elif figure == "5a":
-        report = cell_areas(shg_frog(f, taus), cfg.window(), cfg.noise_floor)
+        report = cell_areas(shg_frog(f, taus), compass_plan(cfg.compass())[1], cfg.noise_floor)
         _write_areas(report, paths[0], paths[1], stamp)
     else:
         series = sweep_separation(cfg.compass(), SWEEP_T0S, cfg.grid(), cfg.noise_floor)
@@ -355,7 +349,7 @@ def frog(out_path, pgm_path, tau_span, dry_run, **kw):
     """Compute a delay-resolved second-harmonic spectrogram."""
     cfg = _config(kw)
     taus = cfg.tau_axis(tau_span)
-    f = cfg.field("frog", taus)
+    f = cfg.field("frog")
     if dry_run:
         return _dry("frog")
     if cfg.oracle:
@@ -425,9 +419,9 @@ def areas(in_path, window_text, out_path, plot_path, stamp, dry_run, **kw):
         m = dataio.load_map(in_path)
     else:
         taus = cfg.tau_axis()
-        f = cfg.field("areas", taus)
+        f = cfg.field("areas")
         if window is None and cfg.state == "compass":
-            window = cfg.window()
+            window = compass_plan(cfg.compass())[1]
     if dry_run:
         return _dry("areas")
     if in_path is None:

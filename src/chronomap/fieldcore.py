@@ -96,30 +96,43 @@ class SampleGrid:
         """Largest representable |w| common to both grid halves."""
         return (self.n // 2 - 1) * self.dw
 
-    def delay_steps(self, tau: float) -> int:
-        """Snap a delay to an integer number of grid steps.
+    def delay_steps(self, tau):
+        """Snap one delay (to an int) or a 1D array of them (to intp) to grid steps.
 
         Delays must coincide with the sample lattice so that shifted
         copies of a field are again on-grid samples; this keeps the FFT
-        and direct-summation transform paths exactly equivalent.
-
-        Raises
-        ------
-        ConfigError
-            If ``tau`` is not finite or not a multiple of ``dt`` (tolerance 1e-6 dt).
-        DomainError
-            If the shift exceeds the grid span.
+        and direct-summation transform paths exactly equivalent. A delay
+        that is not finite or not a multiple of ``dt`` (tolerance 1e-6 dt)
+        raises :class:`ConfigError`, a shift past the grid span
+        :class:`DomainError`; in an array the first bad delay raises.
         """
-        check_real({"delay": tau}, delay="finite")
-        steps = float(tau) / self.dt  # inf when tau nears the float limit and dt is tiny
-        if abs(steps) > self.n - 0.5:
-            raise DomainError(f"delay {tau} ps exceeds the grid span of {self.n * self.dt} ps")
-        s = round(steps)
-        if abs(tau - s * self.dt) > 1e-6 * self.dt:
-            raise ConfigError(
-                f"delay {tau} ps is not on the sample lattice (step {self.dt} ps)"
-            )
-        return int(s)
+        one = not isinstance(tau, (list, tuple, np.ndarray))
+        if one:
+            check_real({"delay": tau}, delay="finite")
+        taus = np.array([float(tau)]) if one else check_array("delays", tau, shape=0, rule=None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = taus / self.dt  # inf when a delay nears the float limit and dt is tiny
+            s = np.rint(steps)
+            outside = ~(np.abs(steps) <= self.n - 0.5)
+            bad = outside | (np.abs(taus - s * self.dt) > 1e-6 * self.dt)
+        if bad.any():
+            i = int(np.argmax(bad))
+            x = tau if one else float(taus[i])
+            check_real({"delay": x}, delay="finite")
+            if outside[i]:
+                raise DomainError(f"delay {x} ps exceeds the grid span of {self.n * self.dt} ps")
+            raise ConfigError(f"delay {x} ps is not on the sample lattice (step {self.dt} ps)")
+        return int(s[0]) if one else s.astype(np.intp)
+
+    def delay_axis(self, span) -> np.ndarray:
+        """The delays ``dt*k``, ``|k| <= round(span/dt)``, on the lattice by construction;
+        a :class:`DomainError` unless ``0 < span`` and ``round(span/dt) <= n - 1``."""
+        check_real({"span": span})
+        k = span / self.dt if 0 < span <= sys.float_info.max else math.inf  # inf if dt is tiny
+        if not (math.isfinite(k) and round(k) <= self.n - 1):
+            raise DomainError(f"delay span must be positive and at most (n - 1)*dt = "
+                              f"{(self.n - 1) * self.dt:g} ps, got {span!r}")
+        return self.dt * np.arange(-round(k), round(k) + 1)
 
 
 def _power_of_two(n):
@@ -282,20 +295,30 @@ class ShaperMask:
         check_real(vars(self), mask_t0=">= 0", block_halfwidth=">= 0", block_center="finite")
 
 
-def _check_time_span(grid: SampleGrid, lo: float, hi: float, what: str):
+def _check_coverage(grid: SampleGrid, what, center, reach, carrier, band):
+    """Raise SynthesisError unless the grid holds ``center +- reach`` and ``|w| <= band``."""
+    lo, hi = center - reach, center + reach
     if lo < grid.t_start or hi > grid.t_end:
-        raise SynthesisError(
-            f"{what} needs time coverage [{lo:g}, {hi:g}] ps but the grid spans "
-            f"[{grid.t_start:g}, {grid.t_end:g}] ps"
-        )
+        raise SynthesisError(f"{what} needs time coverage [{lo:g}, {hi:g}] ps but the grid spans "
+                             f"[{grid.t_start:g}, {grid.t_end:g}] ps")
+    if band > grid.w_max:
+        raise SynthesisError(f"{carrier}: required bandwidth {band:g} rad/ps exceeds the grid's "
+                             f"{grid.w_max:g} rad/ps; reduce dt or widen the grid")
 
 
-def _check_freq_span(grid: SampleGrid, needed: float, what: str):
-    if needed > grid.w_max:
-        raise SynthesisError(
-            f"{what}: required bandwidth {needed:g} rad/ps exceeds the grid's "
-            f"{grid.w_max:g} rad/ps; reduce dt or widen the grid"
-        )
+def _gaussian(t, center_time, sigma, carrier, amplitude, phase, chirp=0.0):
+    """``amplitude * exp(-(1 + i*chirp)*(t-center_time)^2/(2 sigma^2) - i*carrier*t + i*phase)``;
+    the real quotient is taken first, so chirp 0 gives the bits of the unchirped form."""
+    return amplitude * np.exp(-((t - center_time) ** 2) / (2.0 * sigma**2) * (1.0 + 1j * chirp)
+                              - 1j * carrier * t + 1j * phase)
+
+
+def _pulse(grid, sigma, chirp, center_time, carrier, amplitude, phase, label=""):
+    """One pulse, on a grid that holds 5 sigma and ``|carrier| + 5*sqrt(1 + chirp^2)/sigma``."""
+    _check_coverage(grid, "pulse", center_time, 5 * sigma, f"carrier {carrier:g} rad/ps{label}",
+                    abs(carrier) + 5.0 * math.hypot(1.0, chirp) / sigma)
+    t = grid.times()
+    return ComplexField(grid, _gaussian(t, center_time, sigma, carrier, amplitude, phase, chirp))
 
 
 def gaussian_pulse(grid: SampleGrid, spec: PulseSpec) -> ComplexField:
@@ -319,17 +342,8 @@ def gaussian_pulse(grid: SampleGrid, spec: PulseSpec) -> ComplexField:
         frequency (carrier plus 5/sigma), or if the amplitude is zero
         (zero-norm field).
     """
-    _check_time_span(grid, spec.center_time - 5 * spec.sigma,
-                     spec.center_time + 5 * spec.sigma, "pulse")
-    _check_freq_span(grid, abs(spec.center_ang_freq) + 5.0 / spec.sigma,
-                     f"carrier {spec.center_ang_freq:g} rad/ps")
-    t = grid.times()
-    samples = spec.amplitude * np.exp(
-        -((t - spec.center_time) ** 2) / (2.0 * spec.sigma**2)
-        - 1j * spec.center_ang_freq * t
-        + 1j * spec.phase
-    )
-    out = ComplexField(grid, samples)
+    out = _pulse(grid, spec.sigma, 0.0, spec.center_time, spec.center_ang_freq, spec.amplitude,
+                 spec.phase)
     if energy(out) <= 0.0:
         raise SynthesisError("pulse with zero amplitude yields a zero-norm field")
     return out
@@ -349,17 +363,7 @@ def chirped_gaussian(grid: SampleGrid, sigma: float, chirp: float,
                     center_ang_freq=center_ang_freq, amplitude=amplitude, phase=phase),
                sigma="positive", chirp="finite", center_time="finite",
                center_ang_freq="finite", amplitude="positive", phase="finite")
-    _check_time_span(grid, center_time - 5 * sigma, center_time + 5 * sigma, "pulse")
-    # Chirp broadens the spectrum by sqrt(1 + chirp^2).
-    _check_freq_span(grid, abs(center_ang_freq) + 5.0 * math.hypot(1.0, chirp) / sigma,
-                     f"carrier {center_ang_freq:g} rad/ps (chirped)")
-    t = grid.times()
-    samples = amplitude * np.exp(
-        -(1.0 + 1j * chirp) * (t - center_time) ** 2 / (2.0 * sigma**2)
-        - 1j * center_ang_freq * t
-        + 1j * phase
-    )
-    return ComplexField(grid, samples)
+    return _pulse(grid, sigma, chirp, center_time, center_ang_freq, amplitude, phase, " (chirped)")
 
 
 def compass_state(grid: SampleGrid, spec: CompassSpec) -> ComplexField:
@@ -375,21 +379,15 @@ def compass_state(grid: SampleGrid, spec: CompassSpec) -> ComplexField:
         If the grid does not cover ``+-(t0 + 5 sigma)`` in time or
         ``+-(omega0 + 5/sigma)`` in frequency.
     """
-    _check_time_span(grid, -(spec.t0 + 5 * spec.sigma), spec.t0 + 5 * spec.sigma,
-                     "compass state")
-    _check_freq_span(grid, spec.omega0 + 5.0 / spec.sigma,
-                     f"carrier +-{spec.omega0:g} rad/ps")
+    _check_coverage(grid, "compass state", 0.0, spec.t0 + 5 * spec.sigma,
+                    f"carrier +-{spec.omega0:g} rad/ps", spec.omega0 + 5.0 / spec.sigma)
     t = grid.times()
     samples = np.zeros(grid.n, dtype=np.complex128)
     for a, phi, st, sf in zip(spec.amplitudes, spec.phases,
                               CompassSpec.TIME_SIGNS, CompassSpec.FREQ_SIGNS):
         if a == 0.0:
             continue
-        samples += a * np.exp(
-            -((t - st * spec.t0) ** 2) / (2.0 * spec.sigma**2)
-            - 1j * (sf * spec.omega0) * t
-            + 1j * phi
-        )
+        samples += _gaussian(t, st * spec.t0, spec.sigma, sf * spec.omega0, a, phi)
     out = ComplexField(grid, samples)
     e = energy(out)
     if e <= 0.0:

@@ -11,8 +11,10 @@ Discretization notes
 --------------------
 All integrals are Riemann sums with step ``dt`` on the field's grid; no
 windowing is applied (synthesis guarantees decay at the grid edges).
-Delays are snapped to the sample lattice so shifted copies are again
-exact samples. Quadratic products double the spectral support, so both
+Every delay lies on the sample lattice, so shifted copies are again
+exact samples: :meth:`SampleGrid.delay_axis` builds symmetric delay
+axes and :meth:`SampleGrid.delay_steps` snaps a caller's delays in one
+array operation. Quadratic products double the spectral support, so both
 transforms require the field's spectrum to fit within half the Nyquist
 range; violations raise a configuration error instead of aliasing
 silently.
@@ -183,13 +185,12 @@ class OverlapMap:
         object.__setattr__(self, "values", v)
 
 
-def check_sampling(field: ComplexField, tau_axis=None, what: str = "transform"):
-    """Check that a field can feed the quadratic transforms; snap delays.
+def check_sampling(field: ComplexField, what: str = "transform"):
+    """Check that a field can feed the quadratic transforms.
 
     Raises :class:`ConfigError` naming ``what`` when the field's spectrum
     reaches past half the Nyquist range, where its products would alias.
-    Given a ``tau_axis``, each delay is snapped to the sample lattice (see
-    :meth:`SampleGrid.delay_steps`) and ``(delays, steps)`` is returned.
+    Delays are not its concern: :meth:`SampleGrid.delay_steps` snaps them.
     """
     g = field.grid
     limit = math.pi / (2.0 * g.dt)
@@ -200,11 +201,6 @@ def check_sampling(field: ComplexField, tau_axis=None, what: str = "transform"):
             f"Nyquist range ({limit:g} rad/ps); quadratic products would alias. "
             "Reduce dt."
         )
-    if tau_axis is None:
-        return None
-    taus = check_array("tau_axis", tau_axis, shape=1)
-    steps = [g.delay_steps(tau) for tau in taus]
-    return np.array([s * g.dt for s in steps]), steps
 
 
 def _windows(v: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
@@ -245,7 +241,6 @@ def _shifted_products(a: np.ndarray, E: np.ndarray, steps,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``a(t) * E(t - s*dt)`` with zero fill outside the grid."""
     n = E.size
-    steps = np.asarray(steps, dtype=np.intp)
     return _lag_products(a, _zero_pad(E, n - 1), np.zeros_like(steps), n - 1 - steps, n,
                          out=out)
 
@@ -277,14 +272,15 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
         grid span, and the snapped set must be strictly increasing and
         uniform.
     """
-    tau_axis = check_array("tau_axis", tau_axis, shape=1)  # check_sampling reads None as "no delays"
-    taus, steps = check_sampling(field, tau_axis, "shg_frog")
+    tau_axis = check_array("tau_axis", tau_axis, shape=1)
+    check_sampling(field, "shg_frog")
     g = field.grid
+    steps = g.delay_steps(tau_axis)
     n = g.n
     E = field.samples
-    blocks = _row_blocks(len(steps), n)
+    blocks = _row_blocks(steps.size, n)
     buf = np.empty((blocks[0][1], n), dtype=np.complex128)
-    vals = _map_empty((len(steps), n), np.float64)
+    vals = _map_empty((steps.size, n), np.float64)
     peak = 0.0
     for lo, hi in blocks:
         rows = np.fft.ifft(_shifted_products(E, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
@@ -297,7 +293,7 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
         peak = max(peak, float(vals[lo:hi].max()))
     if peak > 0:
         vals /= peak
-    return Spectrogram(taus, g.ang_freqs(), vals, peak)
+    return Spectrogram(steps * g.dt, g.ang_freqs(), vals, peak)
 
 
 def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectrogram:
@@ -307,9 +303,10 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     evaluated as explicit sums over the time samples for an arbitrary
     uniform ``omega_axis``. O(N^2) per delay; intended for modest grids.
     """
-    tau_axis = check_array("tau_axis", tau_axis, shape=1)  # check_sampling reads None as "no delays"
-    taus, steps = check_sampling(field, tau_axis, "quadrature_oracle_frog")
+    tau_axis = check_array("tau_axis", tau_axis, shape=1)
+    check_sampling(field, "quadrature_oracle_frog")
     g = field.grid
+    steps = g.delay_steps(tau_axis)
     w = check_axis("omega_axis", omega_axis)
     P = _shifted_products(field.samples, field.samples, steps)
     kernel = np.exp(1j * np.outer(g.times(), w))
@@ -318,7 +315,7 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     peak = float(vals.max())
     if peak > 0:
         vals = vals / peak
-    return Spectrogram(taus, w, vals, peak)
+    return Spectrogram(steps * g.dt, w, vals, peak)
 
 
 def _wigner_axes(field: ComplexField):
@@ -475,7 +472,7 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
         raise DomainError(
             f"frequency shift beyond the representable +-{nyq:g} rad/ps"
         )
-    steps = np.array([g.delay_steps(x) for x in dts])
+    steps = g.delay_steps(dts)
     E = field.samples
     Ec = np.conj(E)
     n = g.n
@@ -560,9 +557,7 @@ def correspondence_maps(field: ComplexField):
     differ; :func:`correspondence_residual` returns the residual alone.
     """
     g = field.grid
-    K = g.n // 2 - 1
-    taus = g.dt * np.arange(-K, K + 1)
-    frog = shg_frog(field, taus)
+    frog = shg_frog(field, g.delay_axis((g.n // 2 - 1) * g.dt))
     pattern = _half_coordinate_pattern(field, frog.tau_axis)
     peak = float(pattern.max())
     if peak > 0:

@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronomap import (
@@ -442,6 +442,67 @@ def test_resample_reproduces_bilinear_functions(ax_t, ax_w, coef, ft, fw):
     ts, ws = np.clip(ts, ax_t[0], ax_t[-1]), np.clip(ws, ax_w[0], ax_w[-1])
     got = _resample_bilinear(values, ax_t, ax_w, ts, ws)
     npt.assert_allclose(got, f(ts[:, None], ws[None, :]), rtol=0, atol=1e-12)
+
+
+def _ref_resample_bilinear(values, ax_t, ax_w, ts, ws):
+    """Map-sized two-pass blend: all rows along the time-like axis, then all columns."""
+
+    def weights(axis, x):
+        i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+        return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+    i, y = weights(ax_t, ts)
+    rows = values[i] * (1 - y)[:, None] + values[i + 1] * y[:, None]
+    j, z = weights(ax_w, ws)
+    return rows[:, j] * (1 - z) + rows[:, j + 1] * z
+
+
+def _ref_compare_maps(a, b):
+    """Similarity with both patches normalized and centered in copies."""
+    lo_t, hi_t = max(a.time_axis[0], b.time_axis[0]), min(a.time_axis[-1], b.time_axis[-1])
+    lo_w, hi_w = max(a.freq_axis[0], b.freq_axis[0]), min(a.freq_axis[-1], b.freq_axis[-1])
+    step_t = min(np.diff(a.time_axis)[0], np.diff(b.time_axis)[0])
+    step_w = min(np.diff(a.freq_axis)[0], np.diff(b.freq_axis)[0])
+    ts = np.linspace(lo_t, hi_t, max(2, int(round((hi_t - lo_t) / step_t)) + 1))
+    ws = np.linspace(lo_w, hi_w, max(2, int(round((hi_w - lo_w) / step_w)) + 1))
+    x, y = (_ref_resample_bilinear(m.values, m.time_axis, m.freq_axis, ts, ws).ravel()
+            for m in (a, b))
+    x, y = x / np.max(np.abs(x)), y / np.max(np.abs(y))
+    r = float(np.mean((x - x.mean()) * (y - y.mean())) / (x.std() * y.std()))
+    return max(-1.0, min(1.0, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uniform_axis(), _uniform_axis(), st.integers(2, 30), st.integers(2, 30),
+       st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_resample_blocks_equal_the_two_pass_blend(ax_t, ax_w, n_t, n_w, block, seed):
+    import chronomap.analysis as analysis
+
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(ax_t.size, ax_w.size))
+    ts = np.sort(rng.uniform(ax_t[0], ax_t[-1], n_t))
+    ws = np.sort(rng.uniform(ax_w[0], ax_w[-1], n_w))
+    saved, analysis.BLOCK_CELLS = analysis.BLOCK_CELLS, block  # blocks of a few rows
+    try:
+        got = _resample_bilinear(values, ax_t, ax_w, ts, ws)
+    finally:
+        analysis.BLOCK_CELLS = saved
+    assert got.tobytes() == _ref_resample_bilinear(values, ax_t, ax_w, ts, ws).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 40), st.floats(0.5, 2.0), st.floats(-0.5, 0.5),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_similarity_matches_the_copying_correlation(rows, cols, scale, shift, seed, signed):
+    rng = np.random.default_rng(seed)
+    va, vb = rng.normal(size=(2, rows, cols)) + 0.5
+    cls = WignerMap if signed else Spectrogram
+    if not signed:
+        va, vb = np.abs(va), np.abs(vb)
+    a = cls(0.1 * np.arange(rows), 0.3 * np.arange(cols), va, 1.0)
+    b = cls(0.1 * scale * np.arange(rows) + shift, 0.3 * (np.arange(cols) - shift), vb, 1.0)
+    assume(a.time_axis[-1] > b.time_axis[0] and b.time_axis[-1] > a.time_axis[0])
+    assert compare_maps(a, b) == pytest.approx(_ref_compare_maps(a, b), rel=0, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

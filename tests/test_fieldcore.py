@@ -1,5 +1,8 @@
 """Grid, synthesis, and shaper tests against closed-form constructions."""
 
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +17,7 @@ from chronomap import (
     ComplexField,
     ConfigError,
     CrossSection,
+    DomainError,
     ExperimentalTrace,
     OverlapMap,
     PulseSpec,
@@ -43,6 +47,7 @@ from chronomap import (
     upsample2,
     wavelength_to_angular_frequency,
 )
+from chronomap.errors import check_real
 from chronomap.transforms import check_axis
 
 OMEGA0 = np.pi * 3.3  # rad/ps
@@ -100,8 +105,6 @@ def test_delay_snapping():
     assert g.delay_steps(-0.1) == -5
     with pytest.raises(ConfigError):
         g.delay_steps(0.013)
-    from chronomap import DomainError
-
     with pytest.raises(DomainError):
         g.delay_steps(1000.0)
     # beyond the float range, or a quotient tau / dt that rounds to no integer
@@ -113,6 +116,109 @@ def test_delay_snapping():
     for call in (lambda: shg_frog(f, [1e308]), lambda: overlap_map(f, [1e308], [0.0])):
         with pytest.raises(DomainError):
             call()
+
+
+# ------------------------------------------- reference delay snapping and span
+
+
+def _ref_delay_steps(g, tau):
+    """The one-delay snapper that array snapping must agree with."""
+    check_real({"delay": tau}, delay="finite")
+    steps = float(tau) / g.dt
+    if abs(steps) > g.n - 0.5:
+        raise DomainError(f"delay {tau} ps exceeds the grid span of {g.n * g.dt} ps")
+    s = round(steps)
+    if abs(tau - s * g.dt) > 1e-6 * g.dt:
+        raise ConfigError(f"delay {tau} ps is not on the sample lattice (step {g.dt} ps)")
+    return int(s)
+
+
+def _ref_delay_axis(g, span):
+    """The span rule the delay axis must keep: the lattice, or None where it rejects."""
+    steps = span / g.dt
+    if not (span > 0 and math.isfinite(steps) and round(steps) <= g.n - 1):
+        return None
+    steps = round(steps)
+    return g.dt * np.arange(-steps, steps + 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ChronoError as exc:
+        return type(exc), str(exc)
+
+
+GRIDS = st.builds(SampleGrid, st.sampled_from([16, 64, 1024]),
+                  st.sampled_from([0.02, 0.04, 0.1, 1e-3, 1e-310]), st.just(0.0))
+
+
+@st.composite
+def delays(draw, g):
+    k = draw(st.integers(-(g.n + 2), g.n + 2))
+    return draw(st.sampled_from([
+        k * g.dt,  # on the lattice, or past the span for |k| >= n
+        (k + draw(st.floats(1e-5, 1 - 1e-5))) * g.dt,  # between lattice points
+        (k + draw(st.floats(-1e-7, 1e-7))) * g.dt,  # inside the lattice tolerance
+        draw(st.sampled_from([1e308, -1e308, 1e300, -1e300, 0.0, -0.0, math.inf, math.nan])),
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), st.lists(delays(g), max_size=8))))
+def test_delay_steps_of_an_array_matches_one_by_one(case):
+    g, taus = case
+    expected = []
+    for tau in taus:
+        outcome = _outcome(_ref_delay_steps, g, tau)
+        expected.append(outcome)
+        if isinstance(outcome, tuple):  # the first bad delay decides
+            expected = outcome
+            break
+    got = _outcome(g.delay_steps, np.array(taus, dtype=float))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got.dtype == np.intp and got.tolist() == expected
+    for tau in taus:
+        assert _outcome(g.delay_steps, tau) == _outcome(_ref_delay_steps, g, tau)
+
+
+@st.composite
+def spans(draw, g):
+    k = draw(st.integers(-3, g.n + 3))
+    return draw(st.sampled_from([
+        k * g.dt,  # the last one the grid holds is (n - 1)*dt
+        (k + draw(st.floats(-0.5, 0.5))) * g.dt,  # rounding to k, ties included
+        draw(st.floats(allow_nan=True, allow_infinity=True)),
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), spans(g))))
+def test_delay_axis_keeps_the_span_rule(case):
+    g, span = case
+    expected = _ref_delay_axis(g, span)
+    if expected is None:
+        with pytest.raises(DomainError):
+            g.delay_axis(span)
+    else:
+        got = g.delay_axis(span)
+        assert got.tobytes() == expected.tobytes()
+        assert g.delay_steps(got).tolist() == list(range(-(got.size // 2), got.size // 2 + 1))
+
+
+def test_delay_steps_and_axis_raise_no_warnings_on_extreme_values():
+    extreme = [1e308, -1e308, np.inf, -np.inf, np.nan, 5e-324, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (SampleGrid(16, 1e-310, 0.0), SampleGrid(64, 0.1, 0.0)):
+            for taus in ([1e308], [-1e308, 1e308], extreme, extreme[::-1], [0.0, np.nan]):
+                with pytest.raises(ConfigError):
+                    g.delay_steps(np.array(taus))
+            for span in (1e308, -1.0, 0.0, np.inf, np.nan):
+                with pytest.raises(DomainError):
+                    g.delay_axis(span)
 
 
 # ---------------------------------------------------------------- fields
