@@ -215,17 +215,14 @@ def find_zeros(section: CrossSection, noise_floor: float = DEFAULT_NOISE_FLOOR) 
 
 def _sign_change_zeros(x, y):
     gate = SIGN_CHATTER_FLOOR * np.max(np.abs(y))
-    out = []
-    s = np.sign(y)
-    for i in range(y.size - 1):
-        if s[i] == 0:
-            # a node sitting exactly on zero counts once, as a crossing
-            if 0 < i and s[i - 1] * s[i + 1] < 0 and max(abs(y[i - 1]), abs(y[i + 1])) >= gate:
-                out.append(x[i])
-        elif s[i + 1] != 0 and s[i] != s[i + 1]:
-            if max(abs(y[i]), abs(y[i + 1])) >= gate:
-                out.append(x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i]))
-    return np.array(out)
+    nz = np.flatnonzero(y)
+    i, k = nz[:-1], nz[1:]  # neighbouring nonzero samples: only exact zeros lie between
+    keep = (np.signbit(y[i]) != np.signbit(y[k])) & (np.maximum(abs(y[i]), abs(y[k])) >= gate)
+    i, k = i[keep], k[keep]
+    # halved, so that opposite values near the float limit do not overflow
+    crossing = x[i] + 0.5 * y[i] / (0.5 * y[i] - 0.5 * y[k]) * (x[k] - x[i])
+    # a run of exact zeros counts once, at its midpoint
+    return np.where(k > i + 1, x[i + 1] + (x[k - 1] - x[i + 1]) / 2, crossing)
 
 
 def _intensity_zeros(x, y, noise_floor):
@@ -243,10 +240,11 @@ def _intensity_zeros(x, y, noise_floor):
         floor = max(noise_floor, 2 * math.sin(math.pi / (2 * (maxima[k] - maxima[k - 1]))) ** 2)
         if flank <= 0 or y[i] >= floor * flank:
             continue
-        # parabola through the bracketing triple; vertex clamped inside
-        d2 = y[i - 1] - 2 * y[i] + y[i + 1]
-        shift = 0.0 if d2 <= 0 else 0.5 * (y[i - 1] - y[i + 1]) / d2
-        shift = min(1.0, max(-1.0, shift))
+        # parabola through the triple, quartered: exact for normal floats, and no overflow
+        a, b, c = 0.25 * y[i - 1], 0.25 * y[i], 0.25 * y[i + 1]
+        d2 = a - 2 * b + c
+        shift = 0.0 if d2 <= 0 else 0.5 * (a - c) / d2
+        shift = min(1.0, max(-1.0, shift))  # vertex clamped inside
         out.append(x[i] + shift * (x[i + 1] - x[i]))
     return np.array(out)
 

@@ -125,12 +125,7 @@ class RunConfig:
     def field(self, what=None):
         """The configured field; given a transform name ``what``, checked that it can
         feed that transform (see :func:`check_sampling`)."""
-        f = self.build_field(self.grid())
-        if what is not None:
-            check_sampling(f, what)
-        return f
-
-    def build_field(self, grid):
+        grid = self.grid()
         if self.state == "compass":
             f = compass_state(grid, self.compass())
         elif self.state == "gaussian":
@@ -139,6 +134,8 @@ class RunConfig:
             f = chirped_gaussian(grid, self.sigma, self.chirp)
         if self.mask_t0 > 0 or self.block_halfwidth > 0:
             f = apply_shaper(f, self.mask())
+        if what is not None:
+            check_sampling(f, what)
         return f
 
     def tau_axis(self, span=None):

@@ -275,14 +275,13 @@ def calibrate_to_spectrogram(trace: ExperimentalTrace, cal: Calibration) -> Spec
     w_abs = wavelength_to_angular_frequency(lam)
     w_ref = wavelength_to_angular_frequency(cal.reference_wavelength)
     w_rel = w_abs - w_ref
-    # per-sample Jacobian: intensity per unit omega
-    jac = lam**2 / (2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS)
-    vals = trace.intensities * jac[None, :]
     order = np.argsort(w_rel)
     w_sorted = w_rel[order]
-    vals = vals[:, order]
     if w_sorted[0] == w_sorted[-1]:
         raise CalibrationError("degenerate frequency range")
+    # per-sample Jacobian: intensity per unit omega
+    jac = lam**2 / (2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS)
+    vals = (trace.intensities * jac[None, :])[:, order]
     w_axis, vals = _uniform_or_resample(w_sorted, vals)
     delays = trace.delay_axis
     if delays[0] > delays[-1]:
@@ -293,9 +292,8 @@ def calibrate_to_spectrogram(trace: ExperimentalTrace, cal: Calibration) -> Spec
     peak = vals.max()
     if peak <= 0:
         raise CalibrationError("trace has no positive intensity")
-    vals = np.clip(vals - cal.background_floor * peak, 0, None)
-    scale = vals.max()
-    return Spectrogram(tau_axis, w_axis, vals / scale, scale)
+    return Spectrogram.normalized(tau_axis, w_axis,
+                                  np.clip(vals - cal.background_floor * peak, 0, None))
 
 
 def trace_from_spectrogram(m: Spectrogram, cal: Calibration) -> ExperimentalTrace:

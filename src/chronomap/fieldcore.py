@@ -202,13 +202,13 @@ def upsample2(f: ComplexField) -> ComplexField:
     return field_from_spectrum(fine, big)
 
 
-def spectral_support(f: ComplexField, floor: float = SUPPORT_FLOOR) -> float:
-    """Largest |w| at which the spectrum exceeds ``floor`` times its peak."""
+def spectral_support(f: ComplexField) -> float:
+    """Largest |w| at which the spectrum exceeds :data:`SUPPORT_FLOOR` times its peak."""
     s = np.abs(spectrum(f))
     peak = s.max()
     if peak == 0.0:
         return 0.0
-    idx = np.nonzero(s > floor * peak)[0]
+    idx = np.nonzero(s > SUPPORT_FLOOR * peak)[0]
     w = f.grid.ang_freqs()
     return float(np.max(np.abs(w[idx])))
 
@@ -407,12 +407,15 @@ def apply_shaper(f: ComplexField, mask: ShaperMask) -> ComplexField:
     Raises
     ------
     ShapingError
-        If the blocked band extends beyond the grid's frequency span,
-        or if blocking removes (essentially) all field energy
-        (output below 1e-12 of input energy).
+        If the spectral phase ``w*mask_t0`` overflows on the grid, if
+        the blocked band extends beyond the grid's frequency span, or
+        if blocking removes (essentially) all field energy (output
+        below 1e-12 of input energy).
     """
     g = f.grid
     w = g.ang_freqs()
+    if not math.isfinite(float(mask.mask_t0) * float(-w[0])):  # Python floats: inf, no warning
+        raise ShapingError(f"mask_t0 {mask.mask_t0:g} ps overflows the spectral phase w*mask_t0")
     if mask.block_halfwidth > 0:
         lo = mask.block_center - mask.block_halfwidth
         hi = mask.block_center + mask.block_halfwidth

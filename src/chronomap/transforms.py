@@ -40,7 +40,9 @@ by the parity of ``h``, both factors become contiguous windows of
 ``F[p::2]`` (the first one reversed). Rows are transformed in blocks
 sized to stay in cache, with scaling, fftshift and normalization done in
 place (Claasen & Mecklenbraeuker, Philips J. Res. 35, 1980, for the
-discrete lag-kernel form).
+discrete lag-kernel form). The overlap map's one blocked loop serves
+both routes, which its frequency shifts choose (see :func:`overlap_map`).
+Every map is divided by its peak in :meth:`TimeFrequencyMap.normalized`.
 
 The correspondence check evaluates only the Wigner nodes it reads, the
 q rows at ``tau/2`` and the p columns at ``omega/2``. Those are every
@@ -123,8 +125,9 @@ class TimeFrequencyMap:
 
     ``values[i, j]`` belongs to ``(time_axis[i], freq_axis[j])``; values are
     peak normalized and ``scale`` is the raw peak (``scale == 0`` marks an
-    identically zero map stored raw). Each subclass sets its file ``kind``
-    and ``file_axes``, whether it is ``signed``, and its own axis names.
+    identically zero map stored raw), as :meth:`normalized` makes them.
+    Each subclass sets its file ``kind`` and ``file_axes``, whether it is
+    ``signed``, and its own axis names.
     """
 
     time_axis: np.ndarray
@@ -142,6 +145,17 @@ class TimeFrequencyMap:
         object.__setattr__(self, "freq_axis", w)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "scale", float(self.scale))
+
+    @classmethod
+    def normalized(cls, time_axis, freq_axis, raw: np.ndarray, peak=None):
+        """Map of ``raw`` divided in place by ``peak``, which becomes ``scale``:
+        by default ``max raw``, or ``max |raw|`` for a signed type. A map with
+        no positive peak is stored raw."""
+        if peak is None:
+            peak = max(raw.max(), -raw.min()) if cls.signed else raw.max()
+        if peak > 0:
+            raw /= peak
+        return cls(time_axis, freq_axis, raw, peak)
 
 
 class Spectrogram(TimeFrequencyMap):
@@ -291,9 +305,7 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
             v += np.square(rows.imag[:, src])
         vals[lo:hi] *= g.dt * g.dt
         peak = max(peak, float(vals[lo:hi].max()))
-    if peak > 0:
-        vals /= peak
-    return Spectrogram(steps * g.dt, g.ang_freqs(), vals, peak)
+    return Spectrogram.normalized(steps * g.dt, g.ang_freqs(), vals, peak)
 
 
 def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectrogram:
@@ -311,11 +323,7 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     P = _shifted_products(field.samples, field.samples, steps)
     kernel = np.exp(1j * np.outer(g.times(), w))
     amps = g.dt * (P @ kernel)
-    vals = amps.real**2 + amps.imag**2
-    peak = float(vals.max())
-    if peak > 0:
-        vals = vals / peak
-    return Spectrogram(steps * g.dt, w, vals, peak)
+    return Spectrogram.normalized(steps * g.dt, w, amps.real**2 + amps.imag**2)
 
 
 def _wigner_axes(field: ComplexField):
@@ -406,10 +414,7 @@ def wigner(field: ComplexField) -> WignerMap:
     pairs = _parity_operands(upsample2(field).samples)
     q_axis, p_axis = _wigner_axes(field)
     W = _map_empty((M, M), np.float64)
-    peak = _wigner_rows(pairs, 0, W, g.dt)
-    if peak > 0:
-        W /= peak
-    return WignerMap(q_axis, p_axis, W, peak)
+    return WignerMap.normalized(q_axis, p_axis, W, _wigner_rows(pairs, 0, W, g.dt))
 
 
 def quadrature_oracle_wigner(field: ComplexField) -> WignerMap:
@@ -446,20 +451,18 @@ def quadrature_oracle_wigner(field: ComplexField) -> WignerMap:
     peak = float(np.max(np.abs(Wc.real)))
     if peak > 0 and float(np.max(np.abs(Wc.imag))) > IMAG_RESIDUE_LIMIT * peak:
         raise ComputeError("Wigner oracle imaginary residue exceeds tolerance")
-    W = Wc.real
-    if peak > 0:
-        W = W / peak
-    return WignerMap(q_axis, p_axis, W, peak)
+    return WignerMap.normalized(q_axis, p_axis, Wc.real, peak)
 
 
-def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -> OverlapMap:
+def overlap_map(field: ComplexField, dt_axis, dnu_axis) -> OverlapMap:
     """Overlap of a field with its time- and frequency-shifted copy.
 
     ``value(dt, dnu) = sum_t E*(t) E(t - dt) exp(i dnu t) dt`` divided by
     the field energy, so a normalized state overlaps itself with value 1
-    at the origin. Frequency rows are computed by FFT when ``dnu_axis``
-    lies on the conjugate grid, by direct summation otherwise; the two
-    routes are exactly equivalent sums.
+    at the origin; both axes come back sorted. One blocked loop serves
+    both routes, chosen by ``dnu_axis``: each block is transformed by FFT
+    when the shifts lie on the conjugate grid and multiplied by the phase
+    kernel otherwise; the two are exactly equivalent sums.
     """
     g = field.grid
     e0 = energy(field)
@@ -472,7 +475,9 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
         raise DomainError(
             f"frequency shift beyond the representable +-{nyq:g} rad/ps"
         )
-    steps = g.delay_steps(dts)
+    steps = g.delay_steps(dts)  # in the caller's order, so the first bad delay is named
+    order_t = np.argsort(dts)
+    dts, steps, dnus = dts[order_t], steps[order_t], np.sort(dnus)
     E = field.samples
     Ec = np.conj(E)
     n = g.n
@@ -482,28 +487,24 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis, _method: str = "auto") -
         np.all(np.abs(dnus - (w[0] + j * g.dw)) <= 1e-9 * g.dw)
         and np.all((j >= 0) & (j < n))
     )
-    if aligned and _method != "direct":
-        phase = g.dt * np.exp(1j * w * g.t_start)
-        blocks = _row_blocks(steps.size, n)
-        buf = np.empty((blocks[0][1], n), dtype=np.complex128)
-        vals = _map_empty((steps.size, n), np.complex128)
-        for lo, hi in blocks:
-            rows = np.fft.ifft(_shifted_products(Ec, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
-            rows *= n
-            for src, dst in _shift_pairs(n):
-                np.multiply(rows[:, src], phase[dst], out=vals[lo:hi, dst])
-            vals[lo:hi] /= e0
-        if not np.array_equal(j, np.arange(n)):
-            vals = vals[:, j]
+    if aligned:  # the FFT column of each shift, and its phase
+        cols, phase = (j + n // 2) % n, (g.dt * np.exp(1j * w * g.t_start))[j]
     else:
         kernel = np.exp(1j * np.outer(g.times(), dnus))
-        vals = g.dt * (_shifted_products(Ec, E, steps) @ kernel)
-        vals /= e0
-    order_t = np.argsort(dts)
-    order_nu = np.argsort(dnus)
-    if np.any(np.diff(dts) <= 0) or np.any(np.diff(dnus) <= 0):
-        vals = vals[np.ix_(order_t, order_nu)]
-    return OverlapMap(dts[order_t], dnus[order_nu], vals)
+    blocks = _row_blocks(steps.size, n)
+    buf = np.empty((blocks[0][1], n), dtype=np.complex128)
+    vals = _map_empty((steps.size, dnus.size), np.complex128)
+    for lo, hi in blocks:
+        rows = _shifted_products(Ec, E, steps[lo:hi], out=buf[: hi - lo])
+        if aligned:
+            rows = np.fft.ifft(rows, axis=1)
+            rows *= n
+            np.multiply(np.take(rows, cols, axis=1), phase, out=vals[lo:hi])
+        else:
+            np.matmul(rows, kernel, out=vals[lo:hi])
+            vals[lo:hi] *= g.dt
+        vals[lo:hi] /= e0
+    return OverlapMap(dts, dnus, vals)
 
 
 def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray) -> np.ndarray:
@@ -558,13 +559,10 @@ def correspondence_maps(field: ComplexField):
     """
     g = field.grid
     frog = shg_frog(field, g.delay_axis((g.n // 2 - 1) * g.dt))
-    pattern = _half_coordinate_pattern(field, frog.tau_axis)
-    peak = float(pattern.max())
-    if peak > 0:
-        pattern /= peak
+    pattern = Spectrogram.normalized(frog.tau_axis, frog.omega_axis,
+                                     _half_coordinate_pattern(field, frog.tau_axis))
     residual = max(  # by row blocks, so no map-sized difference is built
-        float(np.max(np.abs(frog.values[lo:hi] - pattern[lo:hi])))
-        for lo, hi in _row_blocks(*pattern.shape)
+        float(np.max(np.abs(frog.values[lo:hi] - pattern.values[lo:hi])))
+        for lo, hi in _row_blocks(*pattern.values.shape)
     )
-    wmap = Spectrogram(frog.tau_axis, frog.omega_axis, pattern, peak)
-    return frog, wmap, residual
+    return frog, pattern, residual

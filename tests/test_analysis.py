@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -184,6 +185,30 @@ def test_find_zeros_signed_gates_roundoff_chatter():
     zs = find_zeros(CrossSection(ax, vals, "signed", ("delay", 0.0)))
     assert np.all(zs.positions < 2.5)
     npt.assert_allclose(zs.positions, [1.0, 2.0], atol=2e-3)
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([1, 0, -1, -1, -1, -1], [1.0]),  # a single zero node keeps its position
+    ([1, 0, 0, -1, -1, -1], [1.5]),  # a run of exact zeros counts once, at its midpoint
+    ([-1, 0, 0, 0, 1, 1], [2.0]),
+    ([1, 0, 0, 1, 1, 1], []),  # a touch, not a crossing
+    ([0, 0, 1, 1, 0, 0], []),  # leading and trailing runs count nothing
+])
+def test_find_zeros_signed_runs_of_exact_zeros(values, expected):
+    sec = CrossSection(np.arange(6.0), np.array(values, float), "signed", ("delay", 0.0))
+    npt.assert_array_equal(find_zeros(sec).positions, expected)
+
+
+def test_find_zeros_intensity_near_the_float_limit():
+    """The parabola through the bracketing triple must not overflow."""
+    y = np.array([0, 1.7e308, 1e300, 1.6e308, 2e300, 1.7e308, 0])
+    ax = np.arange(7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = find_zeros(CrossSection(ax, y, "intensity", ("delay", 0.0))).positions
+    small = find_zeros(CrossSection(ax, y * 1e-300, "intensity", ("delay", 0.0))).positions
+    npt.assert_allclose(big, small, rtol=1e-15)
+    npt.assert_allclose(big, [2.0152, 3.9848], atol=1e-4)
 
 
 def test_find_zeros_rejects():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +24,7 @@ from chronomap import (
     wigner,
     save_map,
 )
+from chronomap.transforms import WignerMap
 from chronomap.cli import PRESETS, main
 
 OMEGA0 = np.pi * 3.3
@@ -138,6 +140,30 @@ def test_crosscut_appends_zeros_footer(tmp_path):
     assert any("zero-method" in ln for ln in lines)
     body = np.loadtxt(str(out))
     assert body.shape[1] == 2
+
+
+def test_crosscut_of_signed_values_near_the_float_limit(tmp_path):
+    row = [1e308, -1e308, 1e308, -1e308, 1e308]
+    p = str(tmp_path / "w.chronomap")
+    save_map(WignerMap(np.arange(3.0), np.arange(0.0, 10.0, 2.0), np.array([row] * 3), 1.0), p)
+    out = tmp_path / "cut.dat"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = invoke("crosscut", "--input", p, "--axis", "frequency", "--at", "1.0",
+                        "--out", str(out))
+    assert result.exit_code == 0, all_text(result)
+    assert "# zeros: 1.0 3.0 5.0 7.0\n" in out.read_text()
+
+
+def test_areas_of_a_stored_map_with_zeros_on_one_axis(tmp_path):
+    p = str(tmp_path / "w.chronomap")
+    result = invoke("wigner", "--n", "512", "--dt", "0.04", "--amplitudes", "1,0,1,0",
+                    "--out", p)
+    assert result.exit_code == 0, all_text(result)
+    result = invoke("areas", "--input", p, "--window", "2,1,0,5",
+                    "--out", str(tmp_path / "a.json"))
+    assert result.exit_code == 0, all_text(result)
+    assert "verdict not applicable: zeros resolved on one axis only" in result.output
 
 
 def test_areas_cli_reports_verdict(tmp_path):

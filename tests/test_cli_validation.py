@@ -1,10 +1,15 @@
 """CLI validation table: one row per option rule, with its exit code and the
 flag the error message must name."""
 
+import os
+import warnings
+
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chronomap.cli import main
+from chronomap.cli import STATES, main
 
 SIM = ("simulate", "--dry-run", "--out", "unused.chronofield")
 
@@ -99,3 +104,39 @@ def test_several_bad_options_each_get_their_own_message():
     problems = text.split("invalid configuration:", 1)[1].strip().split("; ")
     for flag in ("--n", "--dt", "--sigma", "--t0", "--chirp"):
         assert sum(p.startswith(flag + " ") for p in problems) == 1, (flag, problems)
+
+
+# ------------------------------------------- extreme values of any one option
+
+EXTREMES = ["0", "-0", "1e-320", "-1e-320", "1e308", "-1e308", "inf", "nan", str(10**23), "-1"]
+STATE_OPTIONS = ["--n", "--dt", "--t-start", "--t0", "--omega0-over-pi-THz", "--sigma", "--chirp"]
+OWN_OPTIONS = {
+    "simulate": ["--mask-t0", "--block-center", "--block-halfwidth"],
+    "frog": ["--tau-span"],
+    "wigner": [],
+    "areas": ["--noise-floor"],
+    "sweep": ["--noise-floor", "--t0-list"],
+    "correspond": [],
+}
+
+
+@st.composite
+def extreme_invocations(draw):
+    command = draw(st.sampled_from(sorted(OWN_OPTIONS)))
+    option = draw(st.sampled_from(STATE_OPTIONS + OWN_OPTIONS[command]))
+    args = [command, "--dry-run", "--state", draw(st.sampled_from(STATES)),
+            option, draw(st.sampled_from(EXTREMES))]
+    return args if command == "correspond" else args + ["--out", "unused.out"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_invocations())
+@example(["simulate", "--dry-run", "--state", "compass", "--mask-t0", "1e308", "--out", "x"])
+def test_extreme_option_value_exits_0_or_2_without_numpy_warnings(args):
+    runner = CliRunner()
+    with runner.isolated_filesystem(), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow is a fault, not noise
+        result = runner.invoke(main, args)
+        assert os.listdir() == []
+    assert result.exit_code in (0, 2), (args, result.output, result.exception)
+    assert "Traceback" not in result.output

@@ -284,6 +284,30 @@ def test_calibrate_descending_wavelength_axis():
     assert np.all(np.diff(m.omega_axis) > 0)
 
 
+def test_calibrate_descending_axes_equal_ascending():
+    cal = Calibration(reference_wavelength=782.0)
+    t = trace_from_spectrogram(compass_frog(), cal)
+    flipped = ExperimentalTrace(t.delay_axis[::-1], t.wavelength_axis[::-1],
+                                t.intensities[::-1, ::-1], {})
+    a, b = calibrate_to_spectrogram(t, cal), calibrate_to_spectrogram(flipped, cal)
+    for x, y in ((a.tau_axis, b.tau_axis), (a.omega_axis, b.omega_axis), (a.values, b.values)):
+        assert np.array_equal(x, y)
+    assert a.scale == b.scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_calibrate_rejects_empty_and_degenerate_traces():
+    cal = Calibration(reference_wavelength=782.0)
+    delays = np.array([0.0, 1.0])
+    empty = ExperimentalTrace(delays, np.array([781.0, 783.0]), np.zeros((2, 2)), {})
+    with pytest.raises(CalibrationError, match="no positive intensity"):
+        calibrate_to_spectrogram(empty, cal)
+    # both frequencies round to -omega_ref, and the Jacobian lambda^2 would overflow
+    far = ExperimentalTrace(delays, np.array([1e300, 2e300]), np.ones((2, 2)), {})
+    with pytest.raises(CalibrationError, match="degenerate frequency range"):
+        calibrate_to_spectrogram(far, cal)
+
+
 def test_trace_from_spectrogram_rejects_negative_absolute_frequency():
     m = compass_frog()
     shifted = Spectrogram(
@@ -387,9 +411,11 @@ def test_field_round_trip(tmp_path):
     assert back.grid.n == g.n
     assert back.grid.dt == g.dt
     assert back.grid.t_start == g.t_start
-    q = write(tmp_path, "junk.chronofield", "NOT-A-FIELD\n")
-    with pytest.raises(FormatError, match="not a CHRONO-FIELD"):
-        load_field(q)
+    for text, message in (("NOT-A-FIELD\n", "not a CHRONO-FIELD"),
+                          ("CHRONO-FIELD v1\n", "truncated header"),
+                          ("CHRONO-FIELD v1\n16 0.04\n", ":2: expected 'n dt t_start'")):
+        with pytest.raises(FormatError, match=message):
+            load_field(write(tmp_path, "bad.chronofield", text))
 
 
 def test_field_non_integer_count_is_format_error(tmp_path):

@@ -465,6 +465,13 @@ def test_shaper_block_outside_span():
         apply_shaper(f, ShaperMask(0.0, 200.0, 5.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shaper_phase_beyond_the_float_range():
+    f = gaussian_pulse(default_grid(), PulseSpec(0, 0, SIGMA))
+    with pytest.raises(ShapingError, match="mask_t0"):
+        apply_shaper(f, ShaperMask(1e308))
+
+
 def test_shaper_four_pulse_construction():
     # broadband pulse -> central block -> two lobes -> cosine mask ->
     # two time replicas, i.e. four pulses spread over time and frequency

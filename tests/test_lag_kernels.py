@@ -109,7 +109,7 @@ def figure_config(n, dt=0.02):
 
 def figure4_field():
     cfg = figure_config(512, 0.04)
-    return cfg.build_field(cfg.grid())
+    return cfg.field()
 
 
 def band_limited_16():
@@ -156,7 +156,7 @@ def test_frog_bitwise_equals_loop_products(state):
 
 def test_frog_bitwise_on_figure3_delays():
     cfg = figure_config(1024)
-    f = cfg.build_field(cfg.grid())
+    f = cfg.field()
     taus = cfg.tau_axis()
     assert np.array_equal(shg_frog(f, taus).values, loop_frog_values(f, taus))
 

@@ -71,6 +71,18 @@ def test_spectrogram_validation():
         Spectrogram(np.array([0.0, 0.1, 0.3, 0.35, 0.4]), om[:5].copy() * 0 + np.arange(5), np.ones((5, 5)), 1.0)
 
 
+def test_normalized_divides_by_the_peak_in_place():
+    t, w = np.linspace(-1, 1, 2), np.linspace(-1, 1, 3)
+    raw_values = np.array([[1.0, -4.0, 2.0], [0.5, 3.0, -1.0]])
+    m = WignerMap.normalized(t, w, raw_values)
+    assert m.scale == 4.0 and np.shares_memory(m.values, raw_values)
+    npt.assert_array_equal(m.values, [[0.25, -1.0, 0.5], [0.125, 0.75, -0.25]])
+    s = Spectrogram.normalized(t, w, np.array([[1.0, 4.0, 2.0], [0.5, 8.0, 1.0]]), peak=2.0)
+    assert s.scale == 2.0 and s.values[1, 1] == 4.0  # a caller's peak is taken as given
+    zero = Spectrogram.normalized(t, w, np.zeros((2, 3)))
+    assert zero.scale == 0.0 and not np.any(zero.values)
+
+
 def test_wigner_map_validation():
     q = np.linspace(-1, 1, 4)
     p = np.linspace(-1, 1, 6)
@@ -331,13 +343,20 @@ def test_overlap_orthogonal_shifts():
 
 
 def test_overlap_paths_agree():
+    """The FFT route (shifts on the conjugate grid) against the defining sum."""
     g = grid512()
     f = compass_state(g, CompassSpec(2.0, OMEGA0, SIGMA))
-    dts = g.dt * np.arange(-10, 11, 2)
-    dnus = g.ang_freqs()[200:300:4]  # on the conjugate grid: FFT path
-    a = overlap_map(f, dts, dnus)
-    b = overlap_map(f, dts, dnus, _method="direct")
-    npt.assert_allclose(a.values, b.values, atol=1e-12)
+    steps = np.arange(-10, 11, 2)
+    dnus = g.ang_freqs()[200:300:4]
+    E = f.samples
+    k = np.arange(g.n)
+    direct = np.empty((steps.size, dnus.size), complex)
+    for i, s in enumerate(steps):
+        shifted = np.where((k >= s) & (k - s < g.n), E[(k - s) % g.n], 0)  # E(t - s dt)
+        for m, nu in enumerate(dnus):
+            direct[i, m] = g.dt * np.sum(np.conj(E) * shifted * np.exp(1j * nu * g.times()))
+    om = overlap_map(f, g.dt * steps, dnus)
+    npt.assert_allclose(om.values, direct / energy(f), rtol=0, atol=1e-12)
 
 
 def test_overlap_rejects():
