@@ -6,7 +6,6 @@ uncertainty-relation unit 0.5, pulse-separation sweeps, and map
 similarity scoring.
 """
 
-import bisect
 import dataclasses
 import math
 
@@ -197,9 +196,11 @@ def find_zeros(section: CrossSection, noise_floor: float = DEFAULT_NOISE_FLOOR) 
     the bracketing samples. The floor is ``noise_floor`` or, if larger,
     ``2 sin^2(pi/2P)`` for flanking maxima P samples apart, twice the
     height at which a sampled ``cos^2`` fringe of that period can bottom
-    out. The default floor works for both simulated maps (whose sampled
-    minima sit quadratically above zero, see :data:`DEFAULT_NOISE_FLOOR`)
-    and measured traces (which never reach exact zero).
+    out. Maxima below :data:`SIGN_CHATTER_FLOOR` of the slice peak are
+    roundoff and flank no minimum. The default floor works for both
+    simulated maps (whose sampled minima sit quadratically above zero,
+    see :data:`DEFAULT_NOISE_FLOOR`) and measured traces (which never
+    reach exact zero).
     """
     check_noise_floor(noise_floor)
     x = section.axis
@@ -226,27 +227,26 @@ def _sign_change_zeros(x, y):
 
 
 def _intensity_zeros(x, y, noise_floor):
-    n = y.size
-    maxima = [i for i in range(1, n - 1) if y[i] > y[i - 1] and y[i] >= y[i + 1]]
-    out = []
-    for i in range(1, n - 1):
-        if not (y[i] < y[i - 1] and y[i] <= y[i + 1]):
-            continue
-        k = bisect.bisect(maxima, i)  # a minimum is no maximum: maxima[k] > i
-        if k == 0 or k == len(maxima):
-            continue
-        flank = min(y[maxima[k - 1]], y[maxima[k]])
-        # a sampled cos^2 of period P samples bottoms out up to sin^2(pi/2P) of its flanks
-        floor = max(noise_floor, 2 * math.sin(math.pi / (2 * (maxima[k] - maxima[k - 1]))) ** 2)
-        if flank <= 0 or y[i] >= floor * flank:
-            continue
-        # parabola through the triple, quartered: exact for normal floats, and no overflow
-        a, b, c = 0.25 * y[i - 1], 0.25 * y[i], 0.25 * y[i + 1]
-        d2 = a - 2 * b + c
-        shift = 0.0 if d2 <= 0 else 0.5 * (a - c) / d2
-        shift = min(1.0, max(-1.0, shift))  # vertex clamped inside
-        out.append(x[i] + shift * (x[i + 1] - x[i]))
-    return np.array(out)
+    mid, left, right = y[1:-1], y[:-2], y[2:]
+    # maxima at roundoff amplitude bound no zero, as in the signed rule's chatter gate;
+    # each exceeds a non-negative neighbour, so every flank is positive
+    gate = SIGN_CHATTER_FLOOR * y.max()
+    maxima = 1 + np.flatnonzero((mid > left) & (mid >= right) & (mid >= gate))
+    i = 1 + np.flatnonzero((mid < left) & (mid <= right))
+    k = np.searchsorted(maxima, i, side="right")  # a minimum is no maximum: maxima[k] > i
+    inside = (k > 0) & (k < maxima.size)
+    i, k = i[inside], k[inside]
+    lo, hi = maxima[k - 1], maxima[k]
+    flank = np.minimum(y[lo], y[hi])
+    # a sampled cos^2 of period P samples bottoms out up to sin^2(pi/2P) of its flanks
+    floor = np.maximum(noise_floor, 2 * np.sin(np.pi / (2 * (hi - lo))) ** 2)
+    i = i[y[i] < floor * flank]
+    # parabola through the triple, quartered: exact for normal floats, and no overflow
+    a, b, c = 0.25 * y[i - 1], 0.25 * y[i], 0.25 * y[i + 1]
+    d2 = a - 2 * b + c
+    shift = np.divide(0.5 * (a - c), d2, out=np.zeros_like(d2), where=d2 > 0)
+    shift = np.clip(shift, -1.0, 1.0)  # vertex clamped inside
+    return x[i] + shift * (x[i + 1] - x[i])
 
 
 def interior_spacings(spacings) -> np.ndarray:
@@ -272,28 +272,20 @@ def _satellite_halfwidth(axis, profile, fallback):
     peak = profile.max()
     if peak <= 0:
         return fallback
-    idx = [
-        i
-        for i in range(1, profile.size - 1)
-        if profile[i] >= profile[i - 1]
-        and profile[i] >= profile[i + 1]
-        and profile[i] > SATELLITE_FLOOR * peak
-    ]
-    if len(idx) < 2:
+    mid = profile[1:-1]
+    idx = 1 + np.flatnonzero((mid >= profile[:-2]) & (mid >= profile[2:])
+                             & (mid > SATELLITE_FLOOR * peak))
+    if idx.size < 2:
         return fallback
-    pos = axis[idx]
-    val = profile[idx]
+    pos, val = axis[idx], profile[idx]
     gaps = np.diff(pos)
     cut = max(3 * np.median(gaps), 5 * (axis[1] - axis[0]))
-    starts = [0] + [i + 1 for i in range(gaps.size) if gaps[i] > cut]
-    bounds = starts + [pos.size]
-    clusters = [
-        (pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    if len(clusters) < 2:
+    splits = np.flatnonzero(gaps > cut) + 1
+    if splits.size == 0:
         return fallback
-    centroids = [float(np.sum(p * v) / np.sum(v)) for p, v in clusters]
-    outermost = max(abs(c) for c in centroids)
+    # runs are ordered along the axis, so the outermost centroid is the first run's or the last's
+    outermost = max(abs(float(np.sum(pos[run] * val[run]) / np.sum(val[run])))
+                    for run in (slice(0, splits[0]), slice(splits[-1], None)))
     if outermost <= 3 * (axis[1] - axis[0]):
         return fallback
     return outermost / 2
@@ -342,19 +334,17 @@ def _windowed_zero_pair(m, window, noise_floor):
 
 
 def _build_report(zt, zw, window) -> CellAreaReport:
-    has_t, has_w = zt.size >= 2, zw.size >= 2
-    if not has_t and not has_w:
+    if zt.size < 2 and zw.size < 2:
         raise InsufficientStructureError(
             "fewer than 2 zeros along both axes; no interference cells"
         )
-    st = interior_spacings(np.diff(zt)) if has_t else np.array([])
-    sw = interior_spacings(np.diff(zw)) if has_w else np.array([])
-    if has_t and has_w:
-        areas = np.outer(st, sw).ravel()
-        mean = float(areas.mean())
-        return CellAreaReport(st, sw, areas, mean, bool(mean < SUB_FOURIER_LIMIT), window)
-    # single-direction interference: spacing report only, no verdict
-    return CellAreaReport(st, sw, np.array([]), None, None, window)
+    st = interior_spacings(np.diff(zt))
+    sw = interior_spacings(np.diff(zw))
+    # single-direction interference leaves no cells: a spacing report with no verdict
+    areas = np.outer(st, sw).ravel()
+    mean = float(areas.mean()) if areas.size else None
+    return CellAreaReport(st, sw, areas, mean,
+                          None if mean is None else bool(mean < SUB_FOURIER_LIMIT), window)
 
 
 def cell_areas(m: Spectrogram, window: Window | None = None,

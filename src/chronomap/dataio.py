@@ -269,7 +269,8 @@ def calibrate_to_spectrogram(trace: ExperimentalTrace, cal: Calibration) -> Spec
     intensities get the |dlambda/domega| Jacobian, both axes are
     resampled to uniform grids, and ``background_floor`` times the peak
     is subtracted and clamped before peak normalization. The raw peak
-    survives as the map's ``scale``.
+    survives as the map's ``scale``. Weighted intensities past the float
+    range raise :class:`CalibrationError`.
     """
     lam = trace.wavelength_axis
     w_abs = wavelength_to_angular_frequency(lam)
@@ -280,8 +281,12 @@ def calibrate_to_spectrogram(trace: ExperimentalTrace, cal: Calibration) -> Spec
     if w_sorted[0] == w_sorted[-1]:
         raise CalibrationError("degenerate frequency range")
     # per-sample Jacobian: intensity per unit omega
-    jac = lam**2 / (2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS)
-    vals = (trace.intensities * jac[None, :])[:, order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = lam**2 / (2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS)
+        vals = (trace.intensities * jac[None, :])[:, order]
+    if not np.isfinite(vals).all():
+        raise CalibrationError(
+            f"wavelengths up to {lam.max():g} nm overflow the Jacobian-weighted intensities")
     w_axis, vals = _uniform_or_resample(w_sorted, vals)
     delays = trace.delay_axis
     if delays[0] > delays[-1]:

@@ -371,7 +371,7 @@ def compass_state(grid: SampleGrid, spec: CompassSpec) -> ComplexField:
 
     The coherent sum of four Gaussian pulses at ``(+-t0, -+omega0)``
     (ordering documented on :class:`CompassSpec`), each weighted by its
-    amplitude and phase, normalized to unit energy.
+    amplitude over the largest and by its phase, normalized to unit energy.
 
     Raises
     ------
@@ -383,11 +383,12 @@ def compass_state(grid: SampleGrid, spec: CompassSpec) -> ComplexField:
                     f"carrier +-{spec.omega0:g} rad/ps", spec.omega0 + 5.0 / spec.sigma)
     t = grid.times()
     samples = np.zeros(grid.n, dtype=np.complex128)
+    top = max(spec.amplitudes)  # the energy is normalized, so only the ratios count
     for a, phi, st, sf in zip(spec.amplitudes, spec.phases,
                               CompassSpec.TIME_SIGNS, CompassSpec.FREQ_SIGNS):
         if a == 0.0:
             continue
-        samples += _gaussian(t, st * spec.t0, spec.sigma, sf * spec.omega0, a, phi)
+        samples += _gaussian(t, st * spec.t0, spec.sigma, sf * spec.omega0, a / top, phi)
     out = ComplexField(grid, samples)
     e = energy(out)
     if e <= 0.0:

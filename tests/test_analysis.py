@@ -1,6 +1,9 @@
 """Analysis tests: slicing, zero finding, cell areas, sweeps, comparison."""
 
+import bisect
+import math
 import os
+import sys
 import tempfile
 import warnings
 
@@ -40,7 +43,9 @@ from chronomap import (
     wigner,
     wigner_cell_areas,
 )
-from chronomap.analysis import _auto_window, _resample_bilinear
+from chronomap.analysis import (SATELLITE_FLOOR, SIGN_CHATTER_FLOOR, SUB_FOURIER_LIMIT,
+                                _auto_window, _build_report, _intensity_zeros,
+                                _resample_bilinear, _satellite_halfwidth)
 
 OMEGA0 = np.pi * 3.3
 SIGMA = 0.25
@@ -226,6 +231,142 @@ def test_find_zeros_rejects():
         find_zeros(CrossSection(ax, bad, "signed", ("frequency", 0.0)))
 
 
+# ---------------------------------------- reference per-sample loops
+
+
+def _ref_intensity_zeros(x, y, noise_floor):
+    """The per-sample loop: maxima listed, then one bisect per minimum."""
+    n = y.size
+    gate = SIGN_CHATTER_FLOOR * y.max()
+    maxima = [i for i in range(1, n - 1)
+              if y[i] > y[i - 1] and y[i] >= y[i + 1] and y[i] >= gate]
+    out = []
+    for i in range(1, n - 1):
+        if not (y[i] < y[i - 1] and y[i] <= y[i + 1]):
+            continue
+        k = bisect.bisect(maxima, i)
+        if k == 0 or k == len(maxima):
+            continue
+        flank = min(y[maxima[k - 1]], y[maxima[k]])
+        floor = max(noise_floor, 2 * math.sin(math.pi / (2 * (maxima[k] - maxima[k - 1]))) ** 2)
+        if flank <= 0 or y[i] >= floor * flank:
+            continue
+        a, b, c = 0.25 * y[i - 1], 0.25 * y[i], 0.25 * y[i + 1]
+        d2 = a - 2 * b + c
+        shift = 0.0 if d2 <= 0 else 0.5 * (a - c) / d2
+        shift = min(1.0, max(-1.0, shift))
+        out.append(x[i] + shift * (x[i + 1] - x[i]))
+    return np.array(out)
+
+
+def _ref_satellite_halfwidth(axis, profile, fallback):
+    """The per-sample loop: maxima listed, runs cut one gap at a time."""
+    peak = profile.max()
+    if peak <= 0:
+        return fallback
+    idx = [
+        i
+        for i in range(1, profile.size - 1)
+        if profile[i] >= profile[i - 1]
+        and profile[i] >= profile[i + 1]
+        and profile[i] > SATELLITE_FLOOR * peak
+    ]
+    if len(idx) < 2:
+        return fallback
+    pos = axis[idx]
+    val = profile[idx]
+    gaps = np.diff(pos)
+    cut = max(3 * np.median(gaps), 5 * (axis[1] - axis[0]))
+    starts = [0] + [i + 1 for i in range(gaps.size) if gaps[i] > cut]
+    bounds = starts + [pos.size]
+    clusters = [(pos[a:b], val[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    if len(clusters) < 2:
+        return fallback
+    centroids = [float(np.sum(p * v) / np.sum(v)) for p, v in clusters]
+    outermost = max(abs(c) for c in centroids)
+    if outermost <= 3 * (axis[1] - axis[0]):
+        return fallback
+    return outermost / 2
+
+
+def _ref_build_report(zt, zw, window):
+    """Two return paths: cells and a verdict, or a spacing report alone."""
+    has_t, has_w = zt.size >= 2, zw.size >= 2
+    if not has_t and not has_w:
+        raise InsufficientStructureError(
+            "fewer than 2 zeros along both axes; no interference cells")
+    st = interior_spacings(np.diff(zt)) if has_t else np.array([])
+    sw = interior_spacings(np.diff(zw)) if has_w else np.array([])
+    if has_t and has_w:
+        areas = np.outer(st, sw).ravel()
+        mean = float(areas.mean())
+        return CellAreaReport(st, sw, areas, mean, bool(mean < SUB_FOURIER_LIMIT), window)
+    return CellAreaReport(st, sw, np.array([]), None, None, window)
+
+
+# ties, plateaus and runs of exact zeros come from a few repeated levels; the scales reach
+# subnormal products at 1e-300 and, for zeros, the float limit
+_LEVELS = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0]), st.floats(0, 1))
+_SCALES = [1e-300, 1e-30, 1.0, 1e30, 1e300]
+
+
+def _samples(scales=_SCALES):
+    runs = st.lists(st.tuples(_LEVELS, st.integers(1, 9)), min_size=1, max_size=25).map(
+        lambda r: [v for v, k in r for _ in range(k)]).filter(lambda v: len(v) >= 3)
+    single = st.lists(_LEVELS, min_size=3, max_size=80)
+    return st.tuples(st.one_of(single, runs), st.sampled_from(scales)).map(
+        lambda t: np.array(t[0]) * t[1])
+
+
+def _axis_for(data, size):
+    start = data.draw(st.floats(-50, 50))
+    return start + data.draw(st.floats(1e-3, 10)) * np.arange(size)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples(_SCALES + [sys.float_info.max]),
+       st.one_of(st.sampled_from([0.0, 0.05]), st.floats(0, 1, exclude_max=True)), st.data())
+def test_intensity_zeros_equal_the_loop_bitwise(y, noise_floor, data):
+    x = _axis_for(data, y.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _intensity_zeros(x, y, noise_floor)
+    assert _bits(got) == _bits(_ref_intensity_zeros(x, y, noise_floor))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples(), st.data())
+def test_satellite_halfwidth_equals_the_loop_bitwise(profile, data):
+    axis = _axis_for(data, profile.size)
+    axis = axis - axis[data.draw(st.integers(0, axis.size - 1))]  # the center on a node
+    got = _satellite_halfwidth(axis, profile, 0.125)
+    want = _ref_satellite_halfwidth(axis, profile, 0.125)
+    assert type(got) is type(want) and _bits(got) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.lists(st.floats(-1e3, 1e3), max_size=12, unique=True).map(sorted)] * 2)
+@example([], [])
+@example([0.0, 1.0], [])
+def test_report_equals_the_two_path_report_bitwise(zt, zw):
+    zt, zw, w = np.array(zt), np.array(zw), Window(0, 1, 0, 1)
+    outcomes = []
+    for build in (_build_report, _ref_build_report):
+        try:
+            r = build(zt, zw, w)
+        except ChronoError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((*(_bits(a) for a in (r.tau_spacings, r.omega_spacings, r.cell_areas)),
+                             r.mean_area, r.sub_fourier, r.window))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_interior_spacings_trim():
     npt.assert_array_equal(interior_spacings([1.0, 2.0]), [1.0, 2.0])
     npt.assert_array_equal(interior_spacings([1, 2, 3, 4]), [1, 2, 3, 4])
@@ -345,6 +486,19 @@ def test_sweep_matches_area_law_and_flips_once():
         npt.assert_allclose(p.mean_area, np.pi**2 / (p.t0 * OMEGA0), rtol=2e-2)
     assert all(a > b for a, b in zip(means, means[1:]))
     assert [p.sub_fourier for p in pts] == [False, False, True, True]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 168))
+@example(93)  # t0 = 3.325, 5.075 and 5.125 ps read +55%, +73% and +47% with no roundoff gate
+@example(163)
+@example(165)
+def test_sweep_meets_the_law_over_a_dense_separation_range(k):
+    # t0 from 1 to 5.2 ps in steps of 0.025; the tolerance is acceptance criterion 2's
+    t0 = 1.0 + 0.025 * k
+    (point,) = sweep_separation(CompassSpec(1.0, OMEGA0, SIGMA), [t0])
+    assert point.status == "ok"
+    npt.assert_allclose(point.mean_area, np.pi**2 / (t0 * OMEGA0), rtol=2e-2)
 
 
 def test_sweep_empty():

@@ -372,6 +372,18 @@ def test_infinite_trace_axis_exits_3(tmp_path):
     assert not (tmp_path / "m").exists()
 
 
+def test_trace_overflowing_the_jacobian_exits_3(tmp_path):
+    csv = tmp_path / "far.csv"
+    csv.write_text("delay_ps,wavelength_nm,intensity\n0,800,1\n0,1e200,1\n1,800,1\n1,1e200,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = invoke("ingest", "--input", str(csv), "--out", str(tmp_path / "m"))
+    assert result.exit_code == 3, all_text(result)
+    assert all_text(result) == (
+        "error: wavelengths up to 1e+200 nm overflow the Jacobian-weighted intensities\n")
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv-long", "csv-matrix"])
 def test_non_utf8_trace_exits_3(tmp_path, fmt):
     csv = tmp_path / "latin1.csv"

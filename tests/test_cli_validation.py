@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chronomap.cli import STATES, main
+from chronomap.cli import STATES, SWEEP_T0S, main
 
 SIM = ("simulate", "--dry-run", "--out", "unused.chronofield")
 
@@ -120,19 +120,39 @@ OWN_OPTIONS = {
 }
 
 
+# each list option: the commands that take it, and the list whose one element a draw replaces
+LIST_OPTIONS = {
+    "--amplitudes": (sorted(OWN_OPTIONS), "1,1,1,1"),
+    "--phases": (sorted(OWN_OPTIONS), "0,0,0,0"),
+    "--t0-list": (["sweep"], ",".join(map(str, SWEEP_T0S))),
+    "--window": (["areas"], "0,2,0,10"),
+}
+
+
+def _dry_run(command, state, option, value):
+    args = [command, "--dry-run", "--state", state, option, value]
+    return args if command == "correspond" else args + ["--out", "unused.out"]
+
+
 @st.composite
 def extreme_invocations(draw):
     command = draw(st.sampled_from(sorted(OWN_OPTIONS)))
     option = draw(st.sampled_from(STATE_OPTIONS + OWN_OPTIONS[command]))
-    args = [command, "--dry-run", "--state", draw(st.sampled_from(STATES)),
-            option, draw(st.sampled_from(EXTREMES))]
-    return args if command == "correspond" else args + ["--out", "unused.out"]
+    return _dry_run(command, draw(st.sampled_from(STATES)), option,
+                    draw(st.sampled_from(EXTREMES)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(extreme_invocations())
-@example(["simulate", "--dry-run", "--state", "compass", "--mask-t0", "1e308", "--out", "x"])
-def test_extreme_option_value_exits_0_or_2_without_numpy_warnings(args):
+@st.composite
+def extreme_list_invocations(draw):
+    option = draw(st.sampled_from(sorted(LIST_OPTIONS)))
+    commands, base = LIST_OPTIONS[option]
+    values = base.split(",")
+    values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(EXTREMES))
+    return _dry_run(draw(st.sampled_from(commands)), draw(st.sampled_from(STATES)), option,
+                    ",".join(values))
+
+
+def _exits_0_or_2_writing_nothing(args):
     runner = CliRunner()
     with runner.isolated_filesystem(), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # an overflow is a fault, not noise
@@ -140,3 +160,18 @@ def test_extreme_option_value_exits_0_or_2_without_numpy_warnings(args):
         assert os.listdir() == []
     assert result.exit_code in (0, 2), (args, result.output, result.exception)
     assert "Traceback" not in result.output
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_invocations())
+@example(["simulate", "--dry-run", "--state", "compass", "--mask-t0", "1e308", "--out", "x"])
+def test_extreme_option_value_exits_0_or_2_without_numpy_warnings(args):
+    _exits_0_or_2_writing_nothing(args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_list_invocations())
+@example(_dry_run("areas", "compass", "--amplitudes", "1,1,1,1e308"))
+@example(_dry_run("simulate", "compass", "--amplitudes", "1e308,1,1,1"))
+def test_extreme_list_element_exits_0_or_2_without_numpy_warnings(args):
+    _exits_0_or_2_writing_nothing(args)

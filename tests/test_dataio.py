@@ -306,6 +306,10 @@ def test_calibrate_rejects_empty_and_degenerate_traces():
     far = ExperimentalTrace(delays, np.array([1e300, 2e300]), np.ones((2, 2)), {})
     with pytest.raises(CalibrationError, match="degenerate frequency range"):
         calibrate_to_spectrogram(far, cal)
+    # one wavelength far enough out that lambda^2, and the weighted intensity, overflow
+    wide = ExperimentalTrace(delays, np.array([800.0, 1e200]), np.ones((2, 2)), {})
+    with pytest.raises(CalibrationError, match=r"^wavelengths up to 1e\+200 nm overflow"):
+        calibrate_to_spectrogram(wide, cal)
 
 
 def test_trace_from_spectrogram_rejects_negative_absolute_frequency():

@@ -373,6 +373,22 @@ def test_compass_cat_subset():
     assert abs(w[np.argmax(s)] + OMEGA0) <= g.dw  # one lobe, at -omega0
 
 
+@pytest.mark.parametrize("amplitudes, same_as", [
+    ((1e308,) * 4, (1, 1, 1, 1)),
+    ((1, 1, 1, 1e308), (0, 0, 0, 1)),  # the other lobes fall below the smallest normal
+    ((5e-324, 0, 0, 0), (1, 0, 0, 0)),
+    ((2.5, 2.0, 2.5, 2.25), (1.0, 0.8, 1.0, 0.9)),
+])
+def test_compass_amplitudes_are_ratios(amplitudes, same_as):
+    g = default_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = compass_state(g, CompassSpec(2.0, OMEGA0, SIGMA, amplitudes=amplitudes))
+    ref = compass_state(g, CompassSpec(2.0, OMEGA0, SIGMA, amplitudes=same_as))
+    npt.assert_allclose(energy(c), 1.0, rtol=1e-12)
+    npt.assert_allclose(c.samples, ref.samples, rtol=0, atol=1e-12)
+
+
 def test_compass_spec_validation():
     with pytest.raises(ConfigError):
         CompassSpec(0.0, OMEGA0, SIGMA)
