@@ -5,7 +5,9 @@ Native text formats are diff-able and round-trip bitwise: maps under a
 Measured traces arrive as CSV (long or matrix layout) with wavelength
 axes in nm and are calibrated onto uniform angular-frequency grids.
 All three are UTF-8 text read by one line rule: lines end at LF, CR or
-CRLF, and errors name the physical line.
+CRLF, and errors name the physical line. Each numeric body is parsed in
+one bulk pass of numpy's C reader; the per-line reader runs only where
+that pass declines, and it has the last word on syntax and messages.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import math
 import mmap
 import os
 import shutil
+import warnings
 from array import array
 
 import numpy as np
@@ -34,7 +37,8 @@ FIELD_MAGIC = "CHRONO-FIELD v1"
 _MAP_TYPES = {cls.kind: cls for cls in (Spectrogram, WignerMap)}
 
 # Maps of this many cells or more are written and read by two processes: a
-# fork and join costs ~5 ms, a value 1.3 us to format and 0.7 us to parse.
+# fork and join costs ~5 ms, a value 1.3 us to format and ~0.25 us to parse in
+# bulk, so at the cutoff a split read gains ~3 ms, and only on a free core.
 SPLIT_CELLS = 1 << 16
 
 
@@ -77,7 +81,11 @@ def wavelength_to_angular_frequency(wavelength_nm):
     lam = check_array("wavelength_nm", wavelength_nm, rule=None)
     if np.any(lam <= 0):
         raise CalibrationError("wavelengths must be positive")
-    return 2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS / lam
+    with np.errstate(over="ignore"):
+        w = 2 * np.pi * SPEED_OF_LIGHT_NM_PER_PS / lam
+    if not np.isfinite(w).all():
+        raise CalibrationError(f"wavelength {lam.min():g} nm overflows its angular frequency")
+    return w
 
 
 # ------------------------------------------------------------- trace I/O
@@ -114,9 +122,50 @@ def _lines(fh, path, error):
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _bulk_rows(lines, delimiter=None):
+    """The ``lines`` as one 2-d float array from numpy's C reader, or None where it
+    declines: an empty body, a ragged row, or a token it does not convert.
+
+    numpy converts each token with the parser ``float`` uses and accepts no
+    token that ``float`` rejects, so a caller that reruns its per-line code on
+    None keeps that code's every outcome. ``delimiter`` is None (whitespace),
+    or ``","`` for lines from :func:`_comma_lines`.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty body
+        try:
+            rows = np.loadtxt(lines, delimiter=delimiter, comments=None, encoding="utf-8",
+                              ndmin=2)
+        except ValueError:  # UnicodeDecodeError too
+            return None
+    return rows if rows.size else None
+
+
+def _comma_lines(chunks):
+    """The lines of the text ``chunks`` (a chunk may end mid-line) for a comma-separated
+    :func:`_bulk_rows`. A unit separator (U+001C to U+001F) raises ValueError, so that
+    the bulk pass declines: numpy strips one around a value, and ``float`` does not."""
+
+    def split():
+        tail = ""
+        for chunk in chunks:
+            if any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
+                raise ValueError("a unit separator")
+            *whole, tail = (tail + chunk).split("\n")
+            yield whole
+        yield [tail]
+
+    return itertools.chain.from_iterable(split())
+
+
 def _float_rows(path, rows, out, message):
-    """Parse each ``(lineno, line)`` of ``rows`` into the same row of ``out``; a bad token
-    is named first, then a row of the wrong length raises ``path:lineno: message``."""
+    """Parse each ``(lineno, line)`` of ``rows`` into the same row of ``out``, in bulk where
+    numpy takes them all; else a bad token is named first, then a row of the wrong length
+    raises ``path:lineno: message``."""
+    bulk = _bulk_rows(line for _, line in rows)
+    if bulk is not None and bulk.shape == out.shape:
+        out[...] = bulk
+        return
     for (lineno, line), dest in zip(rows, out):
         row = _parse_floats(line.split(), path, lineno)
         if len(row) != len(dest):
@@ -124,13 +173,45 @@ def _float_rows(path, rows, out, message):
         dest[:] = row
 
 
-def _load_trace_long(path, lines):
+def _trace_lines(fh, path):
+    """``(lineno, line)`` per line of a trace handle that is not blank, stripped."""
+    lines = ((lineno, line) for lineno, raw in _lines(fh, path, ParseError)
+             if (line := raw.strip()))
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    return itertools.chain([first], lines)
+
+
+def _long_header(path, lines):
     lineno, line = next(lines)
-    header = [t.strip() for t in line.split(",")]
-    if header != ["delay_ps", "wavelength_nm", "intensity"]:
+    if [t.strip() for t in line.split(",")] != ["delay_ps", "wavelength_nm", "intensity"]:
         raise ParseError(
             f"{path}:{lineno}: expected header 'delay_ps,wavelength_nm,intensity'"
         )
+
+
+def _bulk_trace_long(path, fh):
+    """``(delays, wave, vals)`` of a csv-long handle whose rows numpy reads in one pass,
+    or None where a check of the per-line reader could fail or an axis is not finite."""
+    _long_header(path, _trace_lines(fh, path))
+    rows = _bulk_rows(_comma_lines(iter(lambda: fh.read(1 << 16), "")), ",")
+    if rows is None or rows.shape[1] != 3 or not np.isfinite(rows[:, :2]).all():
+        return None
+    d, w, v = rows.T
+    starts = np.flatnonzero(d[1:] != d[:-1]) + 1  # of every delay block but the first
+    nw = starts[0] if starts.size else d.size
+    if (d.size % nw or not np.array_equal(starts, np.arange(nw, d.size, nw))
+            or (d[1:] < d[:-1]).any()):
+        return None
+    waves = w.reshape(-1, nw)
+    if (waves[0, 1:] <= waves[0, :-1]).any() or not (waves == waves[0]).all():
+        return None
+    return d[::nw].copy(), waves[0].copy(), v.reshape(-1, nw).copy()
+
+
+def _load_trace_long(path, lines):
+    _long_header(path, lines)
     delays, starts = [], []  # per delay block: its delay and first row
     waves, vals = array("d"), array("d")
     d0 = w0 = math.nan  # the current block's delay, the previous row's wavelength
@@ -173,23 +254,24 @@ def _load_trace_long(path, lines):
     return np.array(delays), wave.copy(), vals
 
 
+def _matrix_axis(path, lineno, line, axes):
+    """Record in ``axes`` the axis that the ``#`` line of a csv-matrix trace gives, if any."""
+    body = line[1:].strip()
+    for key in ("delay_ps", "wavelength_nm"):
+        if body.startswith(key + ":"):
+            axes[key] = np.array(_parse_floats(body[len(key) + 1 :].split(), path, lineno))
+            steps = np.diff(axes[key])
+            if not (np.all(steps > 0) or np.all(steps < 0)):
+                raise ParseError(f"{path}:{lineno}: {key} axis is not strictly monotone")
+
+
 def _load_trace_matrix(path, lines):
     axes = {}
     rows = []  # (lineno, column count) per data row
     vals = array("d")
     for lineno, line in lines:
         if line.startswith("#"):
-            body = line[1:].strip()
-            for key in ("delay_ps", "wavelength_nm"):
-                if body.startswith(key + ":"):
-                    axes[key] = np.array(
-                        _parse_floats(body[len(key) + 1 :].split(), path, lineno)
-                    )
-                    steps = np.diff(axes[key])
-                    if not (np.all(steps > 0) or np.all(steps < 0)):
-                        raise ParseError(
-                            f"{path}:{lineno}: {key} axis is not strictly monotone"
-                        )
+            _matrix_axis(path, lineno, line, axes)
             continue
         row = _parse_floats(line.split(","), path, lineno)
         rows.append((lineno, len(row)))
@@ -207,6 +289,30 @@ def _load_trace_matrix(path, lines):
     return axes["delay_ps"], axes["wavelength_nm"], vals
 
 
+def _bulk_trace_matrix(path, fh):
+    """``(delays, wave, vals)`` of a csv-matrix handle whose data rows numpy reads in one
+    pass, or None where the per-line reader must decide."""
+    comments = []
+
+    def data():
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line.startswith("#"):
+                comments.append((lineno, line))
+            elif line:
+                yield raw
+
+    vals = _bulk_rows(_comma_lines(data()), ",")
+    if vals is None:
+        return None
+    axes = {}
+    for lineno, line in comments:  # every data row parsed, so the first error is an axis's
+        _matrix_axis(path, lineno, line, axes)
+    if len(axes) < 2 or vals.shape != (axes["delay_ps"].size, axes["wavelength_nm"].size):
+        return None
+    return axes["delay_ps"], axes["wavelength_nm"], vals
+
+
 def load_trace(path, format: str = "csv-long",
                negative_policy: str = "reject") -> ExperimentalTrace:
     """Read a measured trace.
@@ -217,22 +323,24 @@ def load_trace(path, format: str = "csv-long",
     comma-separated row per delay). ``negative_policy`` decides whether
     negative baseline entries reject the file or clamp to zero; clamped
     cells are counted in ``meta["clamped_count"]``. The file is UTF-8
-    text whose lines end at LF, CR or CRLF, read one line at a time;
-    blank lines are skipped, fields may carry surrounding spaces, and
-    errors name the physical line.
+    text whose lines end at LF, CR or CRLF; blank lines are skipped,
+    fields may carry surrounding spaces, and errors name the physical
+    line. The body is parsed in one bulk pass; where that pass declines,
+    the file is read again one line at a time, which decides what is
+    accepted and what each error says.
     """
     if format not in ("csv-long", "csv-matrix"):
         raise ConfigError(f"unknown trace format {format!r}")
     if negative_policy not in ("reject", "clamp"):
         raise ConfigError(f"unknown negative policy {negative_policy!r}")
-    loader = _load_trace_long if format == "csv-long" else _load_trace_matrix
+    bulk, loader = ((_bulk_trace_long, _load_trace_long) if format == "csv-long"
+                    else (_bulk_trace_matrix, _load_trace_matrix))
     with open(path, "r", encoding="utf-8") as fh:
-        lines = ((lineno, line) for lineno, raw in _lines(fh, path, ParseError)
-                 if (line := raw.strip()))
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(f"{path}: empty file")
-        delays, wave, vals = loader(path, itertools.chain([first], lines))
+        parsed = bulk(path, fh)
+    if parsed is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            parsed = loader(path, _trace_lines(fh, path))
+    delays, wave, vals = parsed
     meta = {"source": os.path.basename(path), "format": format}
     if not np.all(np.isfinite(vals)):
         raise ParseError(f"{path}: non-finite intensity values")
@@ -250,12 +358,24 @@ def load_trace(path, format: str = "csv-long",
 # ------------------------------------------------------------ calibration
 
 
-def _uniform_or_resample(axis, rows_axis_last):
-    """Return a uniform axis and values, resampling only when needed."""
+def _uniform_or_resample(axis, rows_axis_last, what, unit):
+    """Return a uniform axis and values, resampling only when needed.
+
+    Resampling keeps every measured sample: each needs a uniform point
+    strictly between its two neighbours, or :class:`CalibrationError`
+    names the first that would be dropped.
+    """
     steps = np.diff(axis)
     if np.allclose(steps, steps[0], rtol=1e-9, atol=0):
         return axis, rows_axis_last
     uniform = np.linspace(axis[0], axis[-1], axis.size)
+    dropped = np.flatnonzero(np.searchsorted(uniform, axis[2:], "left")
+                             <= np.searchsorted(uniform, axis[:-2], "right"))
+    if dropped.size:
+        raise CalibrationError(
+            f"{what} axis too irregular to resample: a uniform grid of step "
+            f"{uniform[1] - uniform[0]:g} {unit} would drop the sample at "
+            f"{axis[dropped[0] + 1]:g} {unit}")
     out = np.empty_like(rows_axis_last)
     for i in range(rows_axis_last.shape[0]):
         out[i] = np.interp(uniform, axis, rows_axis_last[i])
@@ -287,12 +407,12 @@ def calibrate_to_spectrogram(trace: ExperimentalTrace, cal: Calibration) -> Spec
     if not np.isfinite(vals).all():
         raise CalibrationError(
             f"wavelengths up to {lam.max():g} nm overflow the Jacobian-weighted intensities")
-    w_axis, vals = _uniform_or_resample(w_sorted, vals)
+    w_axis, vals = _uniform_or_resample(w_sorted, vals, "frequency", "rad/ps")
     delays = trace.delay_axis
     if delays[0] > delays[-1]:
         delays = delays[::-1]
         vals = vals[::-1, :]
-    tau_axis, vals_t = _uniform_or_resample(delays, vals.T)
+    tau_axis, vals_t = _uniform_or_resample(delays, vals.T, "delay", "ps")
     vals = vals_t.T
     peak = vals.max()
     if peak <= 0:

@@ -1,15 +1,21 @@
 """CLI validation table: one row per option rule, with its exit code and the
 flag the error message must name."""
 
+import functools
+import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chronomap import (Calibration, CompassSpec, compass_state, make_grid, shg_frog,
+                       trace_from_spectrogram)
 from chronomap.cli import STATES, SWEEP_T0S, main
+from chronomap.dataio import MAP_MAGIC
 
 SIM = ("simulate", "--dry-run", "--out", "unused.chronofield")
 
@@ -175,3 +181,108 @@ def test_extreme_option_value_exits_0_or_2_without_numpy_warnings(args):
 @example(_dry_run("simulate", "compass", "--amplitudes", "1e308,1,1,1"))
 def test_extreme_list_element_exits_0_or_2_without_numpy_warnings(args):
     _exits_0_or_2_writing_nothing(args)
+
+
+# ------------------------------------------- extreme values in input files
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_inputs():
+    """Tokens of a small FROG map, and of the trace it implies: delays, wavelengths and
+    intensity rows, each as the ``repr`` strings that the writers use."""
+    f = compass_state(make_grid(256, 0.04, -5.12), CompassSpec(1.0, 3.3 * math.pi, 0.25))
+    m = shg_frog(f, 0.04 * np.arange(-8, 9))
+    trace = trace_from_spectrogram(m, Calibration(782.0))
+
+    def tokens(a):
+        return [repr(float(x)) for x in np.ravel(a)]
+
+    return (tokens(m.tau_axis), tokens(m.omega_axis), [tokens(r) for r in m.values],
+            repr(float(m.scale))), (tokens(trace.delay_axis), tokens(trace.wavelength_axis),
+                                    [tokens(r) for r in trace.intensities])
+
+
+def _map_text(time_axis, freq_axis, rows, scale):
+    lines = [MAP_MAGIC, f"spectrogram delay_ps ang_freq_rad_per_ps scale={scale}",
+             " ".join(time_axis), " ".join(freq_axis)] + [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _trace_text(layout, delays, waves, rows):
+    if layout == "csv-matrix":
+        lines = ["# delay_ps: " + " ".join(delays), "# wavelength_nm: " + " ".join(waves)]
+        lines += [",".join(r) for r in rows]
+    else:
+        lines = ["delay_ps,wavelength_nm,intensity"]
+        lines += [f"{d},{w},{v}" for d, r in zip(delays, rows) for w, v in zip(waves, r)]
+    return "\n".join(lines) + "\n"
+
+
+# where one extreme value goes: a trace axis or intensity, or a map axis, value or scale
+FILE_TARGETS = ["delay", "wavelength", "intensity", "time axis", "frequency axis",
+                "map value", "scale"]
+MAP_COMMANDS = [["crosscut", "--axis", "delay", "--out", "cut.dat"],
+                ["crosscut", "--axis", "frequency", "--out", "cut.dat"],
+                ["areas", "--out", "areas.json"], ["compare"]]
+
+
+@st.composite
+def extreme_file_invocations(draw):
+    """``(files, args)``: small valid input files with one value set to an extreme, and
+    the command that reads them."""
+    (taus, omegas, values, scale), (delays, waves, intensities) = _valid_inputs()
+    target = draw(st.sampled_from(FILE_TARGETS))
+    extreme = draw(st.sampled_from(EXTREMES))
+
+    def one_of(tokens):  # a copy with one token, often the first or the last, replaced
+        tokens = list(tokens)
+        tokens[draw(st.sampled_from([0, -1]) | st.integers(0, len(tokens) - 1))] = extreme
+        return tokens
+
+    if target in ("delay", "wavelength", "intensity"):
+        layout = draw(st.sampled_from(["csv-long", "csv-matrix"]))
+        if target == "delay":
+            delays = one_of(delays)
+        elif target == "wavelength":
+            waves = one_of(waves)
+        else:
+            i = draw(st.integers(0, len(intensities) - 1))
+            intensities = intensities[:i] + [one_of(intensities[i])] + intensities[i + 1:]
+        policy = draw(st.sampled_from(["reject", "clamp"]))
+        return ({"trace.csv": _trace_text(layout, delays, waves, intensities)},
+                ["ingest", "--input", "trace.csv", "--format", layout,
+                 "--negative-policy", policy, "--out", "m.chronomap"])
+    if target == "time axis":
+        taus = one_of(taus)
+    elif target == "frequency axis":
+        omegas = one_of(omegas)
+    elif target == "scale":
+        scale = extreme
+    else:
+        i = draw(st.integers(0, len(values) - 1))
+        values = values[:i] + [one_of(values[i])] + values[i + 1:]
+    files = {"m.chronomap": _map_text(taus, omegas, values, scale)}
+    command = draw(st.sampled_from(MAP_COMMANDS))
+    if command == ["compare"]:
+        files["valid.chronomap"] = _map_text(*_valid_inputs()[0])
+        pair = draw(st.permutations(["m.chronomap", "valid.chronomap"]))
+        return files, ["compare", "--input-a", pair[0], "--input-b", pair[1]]
+    return files, command[:1] + ["--input", "m.chronomap"] + command[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_file_invocations())
+def test_extreme_value_in_an_input_file_exits_cleanly(case):
+    files, args = case
+    runner = CliRunner()
+    with runner.isolated_filesystem(), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow is a fault, not noise
+        for name, text in files.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        result = runner.invoke(main, args)
+        left = sorted(os.listdir())
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code:
+        assert left == sorted(files), (args, result.output)

@@ -312,6 +312,28 @@ def test_calibrate_rejects_empty_and_degenerate_traces():
         calibrate_to_spectrogram(wide, cal)
 
 
+@pytest.mark.filterwarnings("error")
+def test_calibrate_resamples_only_when_every_sample_is_kept():
+    cal = Calibration(reference_wavelength=782.0)
+    waves = np.linspace(770.0, 794.0, 16)
+    # an irregular axis whose every sample keeps a uniform point between its neighbours
+    delays = np.array([0.0, 0.1, 0.25, 0.3, 0.45, 0.5])
+    m = calibrate_to_spectrogram(ExperimentalTrace(delays, waves, np.ones((6, 16)), {}), cal)
+    assert np.array_equal(m.tau_axis, np.linspace(0.0, 0.5, 6))
+    # one far delay: a 2e+307 ps grid step would fold the other samples into its first cell
+    delays = np.append(0.1 * np.arange(5), 1e308)
+    far = ExperimentalTrace(delays, waves, np.ones((6, 16)), {})
+    with pytest.raises(CalibrationError, match=r"^delay axis too irregular to resample: "
+                       r"a uniform grid of step 2e\+307 ps would drop the sample at 0\.1 ps$"):
+        calibrate_to_spectrogram(far, cal)
+    # a wavelength of 1e-300 nm puts one frequency at 1.9e+306 rad/ps
+    tiny = ExperimentalTrace(np.arange(2.0), np.append(1e-300, waves), np.ones((2, 17)), {})
+    with pytest.raises(CalibrationError, match=r"^frequency axis too irregular"):
+        calibrate_to_spectrogram(tiny, cal)
+    with pytest.raises(CalibrationError, match=r"^wavelength 1e-310 nm overflows"):
+        wavelength_to_angular_frequency([1e-310, 800.0])
+
+
 def test_trace_from_spectrogram_rejects_negative_absolute_frequency():
     m = compass_frog()
     shifted = Spectrogram(

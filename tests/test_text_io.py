@@ -3,12 +3,14 @@ parsers they replaced, arbitrary-byte inputs, atomic writes, and maps
 written and read by two processes."""
 
 import contextlib
+import dataclasses
 import math
 import mmap
 import os
 import re
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from click.testing import CliRunner
 import chronomap.cli as cli
 from chronomap import (
     ChronoError,
+    ComplexField,
     CompassSpec,
     ConfigError,
     FormatError,
     ParseError,
+    SampleGrid,
     Spectrogram,
     WignerMap,
     compass_state,
@@ -44,9 +48,16 @@ OMEGA0 = np.pi * 3.3
 
 # ------------------------------------------- reference line-list parsers
 #
-# Copies of the parsers that read the whole file, split it with
-# str.splitlines and parsed one token per call. The streamed parsers
-# must return the same arrays and raise the same errors.
+# Copies of the parsers that read the whole file, split it into lines
+# and parsed one token per call. The streamed parsers must return the
+# same arrays and raise the same errors.
+
+
+def _ref_lines(text):
+    """``text`` split at LF, CR and CRLF, the line rule of the three formats
+    (``str.splitlines`` also splits at \\f, \\x1c and \\x85, among others)."""
+    lines = re.split("\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _ref_parse_float(token, path, lineno):
@@ -130,7 +141,7 @@ def _ref_load_trace(path, format, negative_policy):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [
             (i + 1, ln.strip())
-            for i, ln in enumerate(fh.read().splitlines())
+            for i, ln in enumerate(_ref_lines(fh.read()))
             if ln.strip()
         ]
     if not lines:
@@ -157,7 +168,7 @@ def _ref_load_map(path):
     """The reference map read, up to (not including) the map type."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.decode("utf-8").splitlines()
+    lines = _ref_lines(raw.decode("utf-8"))
     magic = dataio.MAP_MAGIC
     if not lines or lines[0].split(" v")[0] != magic.split(" v")[0]:
         raise FormatError(f"{path}: not a {magic} file")
@@ -186,6 +197,36 @@ def _ref_load_map(path):
             raise FormatError(f"{path}:{5 + i}: expected {ax2.size} values per row")
         values[i] = row
     return kind, ax1, ax2, values, scale
+
+
+def _ref_load_field(path):
+    """The reference field read, up to (not including) the field type."""
+    with open(path, "rb") as fh:
+        lines = _ref_lines(fh.read().decode("utf-8"))
+    magic = dataio.FIELD_MAGIC
+    if not lines or lines[0] != magic:
+        raise FormatError(f"{path}: not a {magic} file")
+    if len(lines) < 2:
+        raise FormatError(f"{path}: truncated header")
+    parts = lines[1].split()
+    if len(parts) != 3:
+        raise FormatError(f"{path}:2: expected 'n dt t_start'")
+    try:
+        n = int(parts[0])
+    except ValueError:
+        raise FormatError(f"{path}:2: sample count is not an integer: {parts[0]!r}") from None
+    dt, t_start = (_ref_parse_float(t, path, 2) for t in parts[1:])
+    grid = dataio._built(SampleGrid, FormatError, f"{path}:2", n, dt, t_start)
+    rows = [(3 + i, ln) for i, ln in enumerate(lines[2:]) if ln.strip()]
+    if len(rows) != n:
+        raise FormatError(f"{path}: expected {n} sample rows, found {len(rows)}")
+    pairs = np.empty((n, 2))
+    for (lineno, ln), dest in zip(rows, pairs):
+        row = [_ref_parse_float(t, path, lineno) for t in ln.split()]
+        if len(row) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 're im'")
+        dest[:] = row
+    return grid, pairs.view(complex).ravel()
 
 
 # -------------------------------------------------------- trace strategies
@@ -451,6 +492,189 @@ def test_load_map_arbitrary_bytes_raise_only_chrono_errors(tmp_path, raw):
 @given(_fuzz_bytes(b"CHRONO-FIELD v1\n16 0.5 -4.0\n"))
 def test_load_field_arbitrary_bytes_raise_only_chrono_errors(tmp_path, raw):
     _load_any(load_field, tmp_path, raw)
+
+
+# ------------------------------------------- bulk pass against the references
+#
+# Every numeric body is parsed by numpy's reader first, and line by line only
+# where that pass declines. Each body below starts from valid rows and has one
+# case where numpy's reader and float(), or the line rule, could part.
+
+# float() takes the first two; numpy's reader strips \xa0, \x85 and \u2028 as
+# float() does, and \x1c-\x1f around a comma-separated value, which float() does not
+BULK_TOKENS = ["1_0", "\u0661", "\xa0", "\x85", "\u2028", "\x00", "\x1c", "\x1f"]
+BULK_CASES = ["none", "insert", "replace", "space line", "trailing comma", "hash",
+              "blank before", "empty body"]
+# the defects of the per-line tests, with the first and last line (from the end) they edit
+BULK_DEFECTS = {"csv-long": (LONG_DEFECTS, 1, 2), "csv-matrix": (MATRIX_DEFECTS, 3, 1),
+                "map": (MAP_DEFECTS, 4, 1)}
+
+
+def _data_lines(kind, draw, lay):
+    """Valid lines of a ``kind`` file, and the index of its first data line."""
+    if kind in ("csv-long", "csv-matrix"):
+        trace = draw(traces())
+        if kind == "csv-long":
+            return _long_lines(trace, lay), 1
+        return _matrix_lines(trace, lay), 3
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _DENORMALS)
+    if kind == "map":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        vals = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        lines = [dataio.MAP_MAGIC, "wigner delay_ps ang_freq_rad_per_ps scale=1.5",
+                 " ".join(repr(0.5 * i) for i in range(rows)),
+                 " ".join(repr(0.25 * i) for i in range(cols))]
+        lines += [" ".join(lay.pad(repr(v)) for v in vals[i * cols:(i + 1) * cols])
+                  for i in range(rows)]
+        return lines, 4
+    vals = draw(st.lists(values, min_size=32, max_size=32))
+    lines = [dataio.FIELD_MAGIC, "16 0.5 -4.0"]
+    lines += [lay.pad(repr(re)) + " " + lay.pad(repr(im)) for re, im in zip(vals[::2], vals[1::2])]
+    return lines, 2
+
+
+@st.composite
+def bulk_bodies(draw, kinds=("csv-long", "csv-matrix", "map", "field"), defect=None):
+    """``(kind, text)``: a valid file of one of the four bodies with one drawn case, or
+    with the named defect of the per-line tests."""
+    kind = draw(st.sampled_from(kinds))
+    lay = draw(layouts())
+    lines, first = _data_lines(kind, draw, lay)
+    case = "defect" if defect else draw(st.sampled_from(BULK_CASES))
+    k = draw(st.integers(first, len(lines) - 1))
+    token = draw(st.sampled_from(BULK_TOKENS))
+    if case == "insert":  # often next to a separator, where stripping rules differ
+        edges = {0, len(lines[k])} | {i + j for i, c in enumerate(lines[k]) if c in ", \t"
+                                      for j in (0, 1)}
+        i = draw(st.sampled_from(sorted(edges)) | st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:i] + token + lines[k][i:]
+    elif case == "replace":
+        sep = "," if kind.startswith("csv") else " "
+        parts = lines[k].split(sep)
+        parts[draw(st.integers(0, len(parts) - 1))] = token
+        lines[k] = sep.join(parts)
+    elif case == "space line":
+        lines.insert(k, draw(st.sampled_from([" ", "\t", " \t "])))
+    elif case == "trailing comma":
+        lines[k] += ","
+    elif case == "hash":
+        lines[k] += draw(st.sampled_from(["#", " # x", "#1"]))
+    elif case == "blank before":
+        lines[:0] = [""] * draw(st.integers(1, 3))
+    elif case == "empty body":
+        del lines[first:]
+    elif case == "defect":
+        defects, lo, last = BULK_DEFECTS[kind]
+        defects[defect](lines, draw(st.integers(lo, len(lines) - last)))
+    return kind, lay.newline.join(lines) + (lay.newline if lay.last else "")
+
+
+def _ref_outcome(kind, path, policy):
+    """The reference read of ``path``, built into the loader's type, or its error."""
+    try:
+        if kind == "map":
+            kind_name, ax1, ax2, values, scale = _ref_load_map(path)
+            return dataio._built(dataio._MAP_TYPES[kind_name], FormatError, path,
+                                 ax1, ax2, values, scale)
+        if kind == "field":
+            return dataio._built(ComplexField, FormatError, path, *_ref_load_field(path))
+        return dataio._built(dataio.ExperimentalTrace, ParseError, path,
+                             *_ref_load_trace(path, kind, policy))
+    except ChronoError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(kind, path, loader, policy="reject"):
+    """``loader(path)`` and the reference give the same error, or the same type with
+    bitwise equal fields (signbit included), with no warning from either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, expected = _outcome(loader, path), _ref_outcome(kind, path, policy)
+    if isinstance(expected, tuple) or isinstance(got, tuple):
+        assert got == expected
+        return
+    assert type(got) is type(expected)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bulk_bodies(), st.sampled_from(["reject", "clamp"]))
+def test_bulk_pass_changes_no_outcome(tmp_path, body, policy):
+    kind, text = body
+    path = _write_bytes(tmp_path, "body.txt", text)
+    loaders = {"map": load_map, "field": load_field}
+    loader = loaders.get(kind, lambda p: load_trace(p, kind, policy))
+    _assert_same_outcome(kind, path, loader, policy)
+
+
+LONG_HEAD = "delay_ps,wavelength_nm,intensity\n"
+
+
+MAP_2X2_HEAD = "CHRONO-MAP v1\nwigner delay_ps ang_freq_rad_per_ps scale=1.0\n0 0.5\n0 1\n"
+
+
+@pytest.mark.parametrize("kind,text", [
+    pytest.param("csv-long", LONG_HEAD + "0,780,1\n0,781\x1c,2\n1,780,3\n1,781,4\n",
+                 id="long-unit-separator"),
+    pytest.param("csv-matrix", "# delay_ps: 0 1\n# wavelength_nm: 780 781\n1,2\n3\x1f,4\n",
+                 id="matrix-unit-separator"),
+    pytest.param("map", MAP_2X2_HEAD + "1 1_0\n-0.0 2\n", id="map-underscore"),
+    pytest.param("csv-long", LONG_HEAD + "0,780,1,2\n", id="long-one-row-of-four"),
+    pytest.param("csv-long", LONG_HEAD + "1,780,1\n1,781,2\n0,780,3\n0,781,4\n",
+                 id="long-falling-delays"),
+    pytest.param("csv-long", LONG_HEAD + "0,781,1\n0,780,2\n1,781,3\n1,780,4\n",
+                 id="long-equal-falling-wavelengths"),
+    pytest.param("csv-long", LONG_HEAD + "0,780,1\n0,781,2\n1,780,3\n2,781,4\n",
+                 id="long-unequal-blocks"),
+    pytest.param("csv-matrix", "1,x\n# delay_ps: 1 0 2\n# wavelength_nm: 780 781\n",
+                 id="matrix-row-before-axis"),
+    pytest.param("map", MAP_2X2_HEAD + "1\n2\n", id="map-every-row-short"),
+])
+def test_bulk_pass_meets_edge_cases_as_the_references_do(tmp_path, kind, text):
+    path = _write_bytes(tmp_path, "body.txt", text)
+    _assert_same_outcome(kind, path, load_map if kind == "map" else
+                         lambda p: load_trace(p, kind, "reject"))
+
+
+@pytest.mark.parametrize("kind,defect", [(kind, defect) for kind, (defects, *_) in
+                                         BULK_DEFECTS.items() for defect in sorted(defects)])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bulk_pass_meets_each_defect_as_the_references_do(tmp_path, kind, defect, data):
+    kind, text = data.draw(bulk_bodies([kind], defect))
+    path = _write_bytes(tmp_path, "body.txt", text)
+    _assert_same_outcome(kind, path, load_map if kind == "map" else
+                         lambda p: load_trace(p, kind, "reject"))
+
+
+def test_valid_bodies_take_the_bulk_pass(tmp_path, monkeypatch, small_map, outputs):
+    # the per-line parser reads only header and axis lines
+    calls = []
+    real = dataio._parse_floats
+    monkeypatch.setattr(dataio, "_parse_floats", lambda *a: calls.append(1) or real(*a))
+    lay = types.SimpleNamespace(pad=str, blank=lambda: None, newline="\n", last=True, fmt=repr)
+    trace = ([0.0, 0.5, 1.0], [780.0, 781.0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    for kind, text, loader, header_calls in (
+        ("csv-long", _join(_long_lines(trace, lay), lay), load_trace, 0),
+        ("csv-matrix", _join(_matrix_lines(trace, lay), lay),
+         lambda p: load_trace(p, "csv-matrix"), 2),
+        ("map", _map_text(small_map, lay), load_map, 3),
+    ):
+        calls.clear()
+        loader(_write_bytes(tmp_path, kind, text))
+        assert len(calls) == header_calls, kind
+    p = tmp_path / "f.chronofield"
+    save_field(outputs.field, str(p))
+    calls.clear()
+    load_field(str(p))
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------- data errors
@@ -780,7 +1004,7 @@ def test_split_map_io_redoes_a_failed_childs_rows(tmp_path, monkeypatch, outputs
     forks = _cutoff(monkeypatch, 1)
     parent = os.getpid()
     monkeypatch.setattr(dataio, "_format_row", _in_child(parent, dataio._format_row))
-    monkeypatch.setattr(dataio, "_parse_floats", _in_child(parent, dataio._parse_floats))
+    monkeypatch.setattr(dataio, "_bulk_rows", _in_child(parent, dataio._bulk_rows))
     save_map(outputs.map, str(p))
     assert p.read_bytes() == serial
     assert np.array_equal(load_map(str(p)).values, outputs.map.values)
@@ -809,7 +1033,7 @@ def test_split_parent_interrupted_kills_the_child(tmp_path, monkeypatch, outputs
     before = p.read_bytes()
     forks = _cutoff(monkeypatch, 1)
     parent = os.getpid()
-    name = "_format_row" if op == "save_map" else "_parse_floats"
+    name = "_format_row" if op == "save_map" else "_bulk_rows"
     real = getattr(dataio, name)
     calls = []
 
@@ -817,7 +1041,7 @@ def test_split_parent_interrupted_kills_the_child(tmp_path, monkeypatch, outputs
         if os.getpid() != parent:
             time.sleep(60)  # a child still busy when the parent is interrupted
         calls.append(1)
-        if len(calls) == (5 if op == "save_map" else 6):  # the parent's third row
+        if len(calls) == (5 if op == "save_map" else 1):  # the parent's third row, or half
             raise KeyboardInterrupt
         return real(*args)
 
