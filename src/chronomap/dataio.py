@@ -6,15 +6,16 @@ Measured traces arrive as CSV (long or matrix layout) with wavelength
 axes in nm and are calibrated onto uniform angular-frequency grids.
 All three are UTF-8 text read by one line rule: lines end at LF, CR or
 CRLF, and errors name the physical line. Each numeric body is parsed in
-one bulk pass of numpy's C reader; the per-line reader runs only where
-that pass declines, and it has the last word on syntax and messages.
+one bulk pass of numpy's C reader; where that pass declines, a per-line
+pass turns the tokens into floats, and it names the first bad token.
+Each trace layout has one set of structural rules, which the rows of
+either pass meet.
 """
 
 import contextlib
 import dataclasses
 import itertools
 import json
-import math
 import mmap
 import os
 import shutil
@@ -24,7 +25,8 @@ from array import array
 import numpy as np
 
 from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoint
-from .errors import CalibrationError, ConfigError, FormatError, ParseError, check_array, check_real
+from .errors import (ARRAY_RULES, CalibrationError, ConfigError, FormatError, ParseError,
+                     check_array, check_real)
 from .fieldcore import ComplexField, SampleGrid
 from .transforms import Spectrogram, TimeFrequencyMap, WignerMap
 
@@ -183,75 +185,60 @@ def _trace_lines(fh, path):
     return itertools.chain([first], lines)
 
 
-def _long_header(path, lines):
-    lineno, line = next(lines)
-    if [t.strip() for t in line.split(",")] != ["delay_ps", "wavelength_nm", "intensity"]:
-        raise ParseError(
-            f"{path}:{lineno}: expected header 'delay_ps,wavelength_nm,intensity'"
-        )
+def _long_order(path, d, w, linenos):
+    """Whether the csv-long columns ``d, w`` keep the order rules: delay blocks (runs of
+    ``==`` delays, so a NaN delay is a block of its own) rise, and wavelengths rise within
+    a block. Where ``linenos`` is given, a broken rule raises at its row's line instead."""
+    same = d[1:] == d[:-1]
+    bad = np.flatnonzero((d[1:] < d[:-1]) | same & (w[1:] <= w[:-1]))
+    if bad.size and linenos is not None:
+        i = bad[0]
+        rule = ("wavelength not strictly increasing within its delay block" if same[i]
+                else "delay blocks must be strictly increasing")
+        raise ParseError(f"{path}:{linenos[i + 1]}: {rule}")
+    return not bad.size
 
 
-def _bulk_trace_long(path, fh):
-    """``(delays, wave, vals)`` of a csv-long handle whose rows numpy reads in one pass,
-    or None where a check of the per-line reader could fail or an axis is not finite."""
-    _long_header(path, _trace_lines(fh, path))
-    rows = _bulk_rows(_comma_lines(iter(lambda: fh.read(1 << 16), "")), ",")
-    if rows is None or rows.shape[1] != 3 or not np.isfinite(rows[:, :2]).all():
+def _long_trace(path, d, w, v, linenos=None):
+    """``(delays, wave, vals)`` of the csv-long columns ``d, w, v``, held to every rule of
+    the layout: :func:`_long_order`, then each block has the first block's wavelengths.
+    Without ``linenos``, an order error cannot name its line, so None is returned."""
+    if not _long_order(path, d, w, linenos):
         return None
-    d, w, v = rows.T
-    starts = np.flatnonzero(d[1:] != d[:-1]) + 1  # of every delay block but the first
-    nw = starts[0] if starts.size else d.size
-    if (d.size % nw or not np.array_equal(starts, np.arange(nw, d.size, nw))
-            or (d[1:] < d[:-1]).any()):
-        return None
-    waves = w.reshape(-1, nw)
-    if (waves[0, 1:] <= waves[0, :-1]).any() or not (waves == waves[0]).all():
-        return None
-    return d[::nw].copy(), waves[0].copy(), v.reshape(-1, nw).copy()
-
-
-def _load_trace_long(path, lines):
-    _long_header(path, lines)
-    delays, starts = [], []  # per delay block: its delay and first row
-    waves, vals = array("d"), array("d")
-    d0 = w0 = math.nan  # the current block's delay, the previous row's wavelength
-    for lineno, line in lines:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 comma-separated columns")
-        try:
-            d, w, v = map(float, parts)
-        except ValueError:
-            _parse_floats(parts, path, lineno)
-            raise
-        if d == d0:
-            if w <= w0:
-                raise ParseError(
-                    f"{path}:{lineno}: wavelength not strictly increasing within its delay block"
-                )
-        else:
-            if d <= d0:
-                raise ParseError(
-                    f"{path}:{lineno}: delay blocks must be strictly increasing"
-                )
-            delays.append(d)
-            starts.append(len(vals))
-            d0 = d
-        w0 = w
-        waves.append(w)
-        vals.append(v)
-    if not delays:
+    if not d.size:
         raise ParseError(f"{path}: no data rows")
-    waves = np.frombuffer(waves, float)
-    bounds = starts + [waves.size]
-    wave = waves[: bounds[1]]
-    for d, lo, hi in zip(delays[1:], bounds[1:], bounds[2:]):
-        if not np.array_equal(waves[lo:hi], wave):
-            raise ParseError(
-                f"{path}: delay block at {d:g} ps has a different wavelength axis"
-            )
-    vals = np.frombuffer(vals, float).reshape(len(delays), wave.size)
-    return np.array(delays), wave.copy(), vals
+    bounds = [0, *(np.flatnonzero(d[1:] != d[:-1]) + 1).tolist(), d.size]
+    wave = w[: bounds[1]]
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        if not np.array_equal(w[lo:hi], wave):
+            raise ParseError(f"{path}: delay block at {d[lo]:g} ps has a different wavelength axis")
+    return d[bounds[:-1]], wave, v.reshape(-1, wave.size)
+
+
+def _read_trace_long(path, fh):
+    """``(delays, wave, vals)`` of a csv-long handle. Its rows are parsed in one bulk pass,
+    or line by line from the start where that pass declines; the line pass only turns
+    tokens into floats, three per row, and both feed :func:`_long_trace`."""
+    lineno, line = next(_trace_lines(fh, path))
+    if [t.strip() for t in line.split(",")] != ["delay_ps", "wavelength_nm", "intensity"]:
+        raise ParseError(f"{path}:{lineno}: expected header 'delay_ps,wavelength_nm,intensity'")
+    rows = _bulk_rows(_comma_lines(iter(lambda: fh.read(1 << 16), "")), ",")
+    parsed = None if rows is None or rows.shape[1] != 3 else _long_trace(path, *rows.T)
+    if parsed is not None:
+        return parsed
+    fh.seek(0)
+    linenos, vals = array("l"), array("d")
+    try:
+        for lineno, line in itertools.islice(_trace_lines(fh, path), 1, None):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 comma-separated columns")
+            vals.extend(_parse_floats(parts, path, lineno))
+            linenos.append(lineno)
+    except ParseError:  # an order error on an earlier line comes first
+        _long_order(path, *np.frombuffer(vals).reshape(-1, 3).T[:2], linenos)
+        raise
+    return _long_trace(path, *np.frombuffer(vals).reshape(-1, 3).T, linenos)
 
 
 def _matrix_axis(path, lineno, line, axes):
@@ -260,39 +247,31 @@ def _matrix_axis(path, lineno, line, axes):
     for key in ("delay_ps", "wavelength_nm"):
         if body.startswith(key + ":"):
             axes[key] = np.array(_parse_floats(body[len(key) + 1 :].split(), path, lineno))
-            steps = np.diff(axes[key])
-            if not (np.all(steps > 0) or np.all(steps < 0)):
+            if not ARRAY_RULES["strictly monotone"](axes[key]):
                 raise ParseError(f"{path}:{lineno}: {key} axis is not strictly monotone")
 
 
-def _load_trace_matrix(path, lines):
-    axes = {}
-    rows = []  # (lineno, column count) per data row
-    vals = array("d")
-    for lineno, line in lines:
-        if line.startswith("#"):
-            _matrix_axis(path, lineno, line, axes)
-            continue
-        row = _parse_floats(line.split(","), path, lineno)
-        rows.append((lineno, len(row)))
-        vals.extend(row)
+def _matrix_trace(path, axes, linenos, counts, vals):
+    """``(delays, wave, vals)`` of csv-matrix data rows, held to every rule of the layout:
+    both axis lines, one row per delay, one column per wavelength. ``linenos`` and
+    ``counts`` give each row's line and column count, ``vals`` their values in order."""
     for key in ("delay_ps", "wavelength_nm"):
         if key not in axes:
             raise ParseError(f"{path}: missing '# {key}:' axis line")
     nd, nw = axes["delay_ps"].size, axes["wavelength_nm"].size
-    if len(rows) != nd:
-        raise ParseError(f"{path}: expected {nd} data rows, found {len(rows)}")
-    for lineno, count in rows:
+    if len(linenos) != nd:
+        raise ParseError(f"{path}: expected {nd} data rows, found {len(linenos)}")
+    for lineno, count in zip(linenos, counts):
         if count != nw:
             raise ParseError(f"{path}:{lineno}: expected {nw} columns, found {count}")
-    vals = np.frombuffer(vals, float).reshape(nd, nw)
-    return axes["delay_ps"], axes["wavelength_nm"], vals
+    return axes["delay_ps"], axes["wavelength_nm"], np.reshape(vals, (nd, nw))
 
 
-def _bulk_trace_matrix(path, fh):
-    """``(delays, wave, vals)`` of a csv-matrix handle whose data rows numpy reads in one
-    pass, or None where the per-line reader must decide."""
-    comments = []
+def _read_trace_matrix(path, fh):
+    """``(delays, wave, vals)`` of a csv-matrix handle. Its data rows are parsed in one
+    bulk pass, or line by line from the start where that pass declines; the line pass
+    only turns tokens into floats, and both feed :func:`_matrix_trace`."""
+    comments, linenos = [], []  # the ``#`` lines, and the lines of the data rows
 
     def data():
         for lineno, raw in enumerate(fh, 1):
@@ -300,17 +279,26 @@ def _bulk_trace_matrix(path, fh):
             if line.startswith("#"):
                 comments.append((lineno, line))
             elif line:
+                linenos.append(lineno)
                 yield raw
 
-    vals = _bulk_rows(_comma_lines(data()), ",")
-    if vals is None:
-        return None
+    rows = _bulk_rows(_comma_lines(data()), ",")
     axes = {}
-    for lineno, line in comments:  # every data row parsed, so the first error is an axis's
-        _matrix_axis(path, lineno, line, axes)
-    if len(axes) < 2 or vals.shape != (axes["delay_ps"].size, axes["wavelength_nm"].size):
-        return None
-    return axes["delay_ps"], axes["wavelength_nm"], vals
+    if rows is not None:
+        for lineno, line in comments:  # every data row parsed, so the first error is an axis's
+            _matrix_axis(path, lineno, line, axes)
+        return _matrix_trace(path, axes, linenos, [rows.shape[1]] * len(rows), rows)
+    fh.seek(0)
+    linenos, counts, vals = [], [], array("d")
+    for lineno, line in _trace_lines(fh, path):
+        if line.startswith("#"):
+            _matrix_axis(path, lineno, line, axes)
+            continue
+        row = _parse_floats(line.split(","), path, lineno)
+        linenos.append(lineno)
+        counts.append(len(row))
+        vals.extend(row)
+    return _matrix_trace(path, axes, linenos, counts, vals)
 
 
 def load_trace(path, format: str = "csv-long",
@@ -325,22 +313,18 @@ def load_trace(path, format: str = "csv-long",
     cells are counted in ``meta["clamped_count"]``. The file is UTF-8
     text whose lines end at LF, CR or CRLF; blank lines are skipped,
     fields may carry surrounding spaces, and errors name the physical
-    line. The body is parsed in one bulk pass; where that pass declines,
-    the file is read again one line at a time, which decides what is
-    accepted and what each error says.
+    line. The file is opened once; its body is parsed in one bulk pass, or
+    where that pass declines (a token numpy does not take, or an order
+    error, whose line it cannot name) one line at a time, which only turns
+    tokens into floats. The rows of either pass meet one set of rules.
     """
     if format not in ("csv-long", "csv-matrix"):
         raise ConfigError(f"unknown trace format {format!r}")
     if negative_policy not in ("reject", "clamp"):
         raise ConfigError(f"unknown negative policy {negative_policy!r}")
-    bulk, loader = ((_bulk_trace_long, _load_trace_long) if format == "csv-long"
-                    else (_bulk_trace_matrix, _load_trace_matrix))
+    read = _read_trace_long if format == "csv-long" else _read_trace_matrix
     with open(path, "r", encoding="utf-8") as fh:
-        parsed = bulk(path, fh)
-    if parsed is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            parsed = loader(path, _trace_lines(fh, path))
-    delays, wave, vals = parsed
+        delays, wave, vals = read(path, fh)
     meta = {"source": os.path.basename(path), "format": format}
     if not np.all(np.isfinite(vals)):
         raise ParseError(f"{path}: non-finite intensity values")
@@ -363,8 +347,12 @@ def _uniform_or_resample(axis, rows_axis_last, what, unit):
 
     Resampling keeps every measured sample: each needs a uniform point
     strictly between its two neighbours, or :class:`CalibrationError`
-    names the first that would be dropped.
+    names the first that would be dropped. So does an axis whose span
+    is past the float range.
     """
+    if np.isinf(float(axis[-1]) - float(axis[0])):
+        raise CalibrationError(f"{what} axis spans past the float range: {axis[0]:g} to "
+                               f"{axis[-1]:g} {unit}")
     steps = np.diff(axis)
     if np.allclose(steps, steps[0], rtol=1e-9, atol=0):
         return axis, rows_axis_last

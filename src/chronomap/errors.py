@@ -69,8 +69,9 @@ RULES = {"finite": lambda v: True, "positive": lambda v: v > 0, ">= 0": lambda v
 ARRAY_RULES = {
     "finite": lambda a: True,
     "non-negative": lambda a: a.min(initial=0) >= 0,
-    "strictly increasing": lambda a: bool(np.all(np.diff(a) > 0)),
-    "strictly monotone": lambda a: bool(np.all(np.diff(a) > 0) or np.all(np.diff(a) < 0)),
+    # neighbours compared, not differenced: a step past the float range would overflow
+    "strictly increasing": lambda a: bool(np.all(a[1:] > a[:-1])),
+    "strictly monotone": lambda a: bool(np.all(a[1:] > a[:-1]) or np.all(a[1:] < a[:-1])),
 }
 
 

@@ -111,8 +111,11 @@ def _map_empty(shape, dtype) -> np.ndarray:
 
 def check_axis(name: str, axis, size: int = 1) -> np.ndarray:
     """``axis`` as a read-only float array (see :func:`check_array`): 1D with at
-    least ``size`` entries, finite, strictly increasing and evenly spaced."""
+    least ``size`` entries, finite, strictly increasing and evenly spaced, over a span
+    (so at steps) inside the float range."""
     axis = check_array(name, axis, shape=size, rule="strictly increasing")
+    if not math.isfinite(float(axis[-1]) - float(axis[0])):
+        raise ConfigError(f"{name} must span a finite range")
     d = np.diff(axis)
     if d.size and not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
         raise ConfigError(f"{name} must be uniformly spaced")

@@ -226,41 +226,55 @@ MAP_COMMANDS = [["crosscut", "--axis", "delay", "--out", "cut.dat"],
                 ["areas", "--out", "areas.json"], ["compare"]]
 
 
+def _ingest(layout, delays, waves, rows, policy="reject"):
+    return ({"trace.csv": _trace_text(layout, delays, waves, rows)},
+            ["ingest", "--input", "trace.csv", "--format", layout, "--negative-policy", policy,
+             "--out", "m.chronomap"])
+
+
+def _on_map(time_axis, command):
+    """``command`` on a 2x2 map whose time axis holds ``time_axis``."""
+    files = {"m.chronomap": _map_text(time_axis, ["0.0", "1.0"], [["1.0", "0.5"], ["0.5", "1.0"]],
+                                      "1.0")}
+    if command == ["compare"]:
+        return files, ["compare", "--input-a", "m.chronomap", "--input-b", "m.chronomap"]
+    return files, command[:1] + ["--input", "m.chronomap"] + command[1:]
+
+
 @st.composite
 def extreme_file_invocations(draw):
-    """``(files, args)``: small valid input files with one value set to an extreme, and
-    the command that reads them."""
+    """``(files, args)``: small valid input files with two values, often neighbours, set
+    to extremes, and the command that reads them."""
     (taus, omegas, values, scale), (delays, waves, intensities) = _valid_inputs()
     target = draw(st.sampled_from(FILE_TARGETS))
-    extreme = draw(st.sampled_from(EXTREMES))
+    extremes = draw(st.lists(st.sampled_from(EXTREMES), min_size=2, max_size=2))
 
-    def one_of(tokens):  # a copy with one token, often the first or the last, replaced
+    def two_of(tokens):  # a copy with two tokens, often the ends or neighbours, replaced
         tokens = list(tokens)
-        tokens[draw(st.sampled_from([0, -1]) | st.integers(0, len(tokens) - 1))] = extreme
+        i = draw(st.sampled_from([0, -1]) | st.integers(0, len(tokens) - 1)) % len(tokens)
+        j = draw(st.sampled_from([i - 1, i + 1, -1 - i]) | st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j % len(tokens)] = extremes
         return tokens
 
     if target in ("delay", "wavelength", "intensity"):
-        layout = draw(st.sampled_from(["csv-long", "csv-matrix"]))
         if target == "delay":
-            delays = one_of(delays)
+            delays = two_of(delays)
         elif target == "wavelength":
-            waves = one_of(waves)
+            waves = two_of(waves)
         else:
             i = draw(st.integers(0, len(intensities) - 1))
-            intensities = intensities[:i] + [one_of(intensities[i])] + intensities[i + 1:]
-        policy = draw(st.sampled_from(["reject", "clamp"]))
-        return ({"trace.csv": _trace_text(layout, delays, waves, intensities)},
-                ["ingest", "--input", "trace.csv", "--format", layout,
-                 "--negative-policy", policy, "--out", "m.chronomap"])
+            intensities = intensities[:i] + [two_of(intensities[i])] + intensities[i + 1:]
+        return _ingest(draw(st.sampled_from(["csv-long", "csv-matrix"])), delays, waves,
+                       intensities, draw(st.sampled_from(["reject", "clamp"])))
     if target == "time axis":
-        taus = one_of(taus)
+        taus = two_of(taus)
     elif target == "frequency axis":
-        omegas = one_of(omegas)
+        omegas = two_of(omegas)
     elif target == "scale":
-        scale = extreme
+        scale = extremes[0]
     else:
         i = draw(st.integers(0, len(values) - 1))
-        values = values[:i] + [one_of(values[i])] + values[i + 1:]
+        values = values[:i] + [two_of(values[i])] + values[i + 1:]
     files = {"m.chronomap": _map_text(taus, omegas, values, scale)}
     command = draw(st.sampled_from(MAP_COMMANDS))
     if command == ["compare"]:
@@ -270,8 +284,20 @@ def extreme_file_invocations(draw):
     return files, command[:1] + ["--input", "m.chronomap"] + command[1:]
 
 
+SPAN = ["-1e308", "1e308"]  # an axis whose one step is past the float range
+ROWS_2X2 = [["1.0", "2.0"], ["3.0", "4.0"]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(extreme_file_invocations())
+@example(_ingest("csv-long", SPAN, ["780.0", "781.0"], ROWS_2X2))
+@example(_ingest("csv-matrix", SPAN, ["780.0", "781.0"], ROWS_2X2))
+@example(_ingest("csv-long", ["0.0", "1.0"], SPAN, ROWS_2X2))
+@example(_ingest("csv-matrix", ["0.0", "1.0"], SPAN, ROWS_2X2))
+@example(_on_map(SPAN, ["areas", "--out", "areas.json"]))
+@example(_on_map(SPAN, ["compare"]))
+@example(_on_map(SPAN, ["crosscut", "--axis", "delay", "--out", "cut.dat"]))
+@example(_on_map(SPAN, ["crosscut", "--axis", "frequency", "--out", "cut.dat"]))
 def test_extreme_value_in_an_input_file_exits_cleanly(case):
     files, args = case
     runner = CliRunner()

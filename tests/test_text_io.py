@@ -393,6 +393,58 @@ def test_matrix_trace_defects_match_reference(tmp_path, trace, lay, defect, data
     assert _outcome(load_trace, path, "csv-matrix", "reject") == expected
 
 
+# The defects above whose every token parses: each breaks a rule of the layout
+STRUCTURAL = {"csv-long": sorted(set(LONG_DEFECTS) - {"bad token", "two columns",
+                                                      "four columns", "header only"}),
+              "csv-matrix": sorted(set(MATRIX_DEFECTS) - {"bad token", "bad axis token"})}
+# ... and defects that stop a line's parse. \udcff is written as the byte 0xff, which
+# no UTF-8 text holds, so a small file fails to decode before its first line is read
+LINE_STOPS = {"bad token": "x", "two columns": None, "four columns": ",1", "not UTF-8": "\udcff"}
+
+
+@_HYP
+@given(traces(), layouts(), st.sampled_from(["csv-long", "csv-matrix"]), st.data())
+def test_parse_stop_and_structural_defect_match_reference(tmp_path, trace, lay, fmt, data):
+    # Two defects on distinct lines, in either order: one line that does not parse,
+    # and one structural defect. Errors come in the reference's file order.
+    trace[2][:] = [[abs(v) for v in row] for row in trace[2]]
+    lines = _long_lines(trace, lay) if fmt == "csv-long" else _matrix_lines(trace, lay)
+    before = list(lines)
+    defect = data.draw(st.sampled_from(STRUCTURAL[fmt]))
+    defects = LONG_DEFECTS if fmt == "csv-long" else MATRIX_DEFECTS
+    k = data.draw(st.integers(1, len(lines) - 2) if fmt == "csv-long"
+                  else st.integers(3, len(lines) - 1))
+    assume(defect not in ("wavelength order", "repeated wavelength") or k % len(trace[1]) != 0)
+    defects[defect](lines, k)
+    # a line the defect left where it was, after the line it followed before
+    prev = dict(zip(before[1:], before[:-1]))
+    free = [m for m in range(1, len(lines)) if prev.get(lines[m]) == lines[m - 1]
+            and lines[m] != "# a comment line"]
+    assume(free)
+    m = data.draw(st.sampled_from(free))
+    stop = data.draw(st.sampled_from(sorted(LINE_STOPS) if fmt == "csv-long"
+                                     else ["bad token", "not UTF-8"]))
+    parts = lines[m].split(",")
+    if stop == "two columns":
+        del parts[-1]
+    elif lines[m].startswith("#"):  # an axis line
+        parts[-1] += " " + LINE_STOPS[stop]
+    elif stop == "four columns":
+        parts[-1] += LINE_STOPS[stop]
+    else:
+        parts[data.draw(st.integers(0, len(parts) - 1))] = LINE_STOPS[stop]
+    lines[m] = ",".join(parts)
+    path = tmp_path / "two.csv"
+    path.write_bytes(_join(lines, lay).encode("utf-8", "surrogateescape"))
+    path = str(path)
+    try:
+        expected = _outcome(_ref_load_trace, path, fmt, "reject")
+    except UnicodeDecodeError as exc:  # the reference decodes the whole file first
+        expected = (ParseError, f"{path}: not UTF-8 text ({exc.reason})")
+    assert isinstance(expected, tuple) and expected[0] is ParseError
+    assert _outcome(load_trace, path, fmt, "reject") == expected
+
+
 def test_block_mismatch_reported_after_stream_errors(tmp_path):
     # The reference reports a mismatched block only once every row has
     # parsed, so a later bad token wins over an earlier short block.
@@ -675,6 +727,20 @@ def test_valid_bodies_take_the_bulk_pass(tmp_path, monkeypatch, small_map, outpu
     calls.clear()
     load_field(str(p))
     assert len(calls) == 1
+    # well-formed tokens in a bad structure need no second, per-line read either
+    long_lines, matrix_lines = _long_lines(trace, lay), _matrix_lines(trace, lay)
+    _set_wavelength(long_lines, len(long_lines) - 1, "782.0")
+    for fmt, lines, header_calls in (
+        ("csv-long", long_lines, 0),  # the last block's wavelengths differ
+        ("csv-matrix", matrix_lines[:-1], 2),  # a row missing
+        ("csv-matrix", matrix_lines[:3] + [r.rsplit(",", 1)[0] for r in matrix_lines[3:]], 2),
+    ):
+        path = _write_bytes(tmp_path, "bad.csv", _join(lines, lay))
+        expected = _outcome(_ref_load_trace, path, fmt, "reject")
+        assert isinstance(expected, tuple) and expected[0] is ParseError
+        calls.clear()
+        assert _outcome(load_trace, path, fmt, "reject") == expected
+        assert len(calls) == header_calls, expected
 
 
 # ------------------------------------------------------- data errors
