@@ -21,8 +21,7 @@ from .errors import (
     check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
-from .transforms import (BLOCK_CELLS, Spectrogram, TimeFrequencyMap, WignerMap, check_axis,
-                         shg_frog)
+from .transforms import BLOCK_CELLS, TimeFrequencyMap, WignerMap, check_axis, shg_frog
 
 SUB_FOURIER_LIMIT = 0.5
 
@@ -321,18 +320,6 @@ def _windowed_section(m, axis_choice, held, center, halfwidth) -> CrossSection:
     return dataclasses.replace(sec, axis=sec.axis[keep], values=sec.values[keep])
 
 
-def _windowed_zero_pair(m, window, noise_floor):
-    """Delay and frequency zeros inside ``window`` (default: the auto window), and the window."""
-    window = _auto_window(m) if window is None else window
-    sec_t = _windowed_section(m, "delay", window.omega_center,
-                              window.tau_center, window.tau_halfwidth)
-    sec_w = _windowed_section(m, "frequency", window.tau_center,
-                              window.omega_center, window.omega_halfwidth)
-    zt = find_zeros(sec_t, noise_floor).positions
-    zw = find_zeros(sec_w, noise_floor).positions
-    return zt, zw, window
-
-
 def _build_report(zt, zw, window) -> CellAreaReport:
     if zt.size < 2 and zw.size < 2:
         raise InsufficientStructureError(
@@ -347,41 +334,44 @@ def _build_report(zt, zw, window) -> CellAreaReport:
                           None if mean is None else bool(mean < SUB_FOURIER_LIMIT), window)
 
 
-def cell_areas(m: Spectrogram, window: Window | None = None,
+def cell_areas(m: TimeFrequencyMap, window: Window | None = None,
                noise_floor: float = DEFAULT_NOISE_FLOOR) -> CellAreaReport:
-    """Measure central-chessboard cells of a spectrogram.
+    """Measure central-chessboard cells of a spectrogram or a Wigner map.
 
     Zeros are located on the two central axis-aligned slices inside
     ``window`` (default: halfway out to the satellite lobes, which for
     an ideal four-pulse state means delays within the pulse separation
-    and frequencies within the carrier offset). Cells are products of
-    adjacent interior zero spacings; the verdict compares their mean
-    with the uncertainty-relation unit 0.5. Fewer than 2 zeros along
-    either axis raises :class:`InsufficientStructureError`.
+    and frequencies within the carrier offset) by :func:`find_zeros`:
+    intensity minima under ``noise_floor``, or a Wigner map's sign
+    changes. Cells are products of adjacent interior zero spacings; the
+    verdict compares their mean with the uncertainty-relation unit 0.5.
+    A spectrogram needs 2 zeros per axis; a Wigner map whose interference
+    runs along one direction only yields a spacing report with
+    ``mean_area`` and ``sub_fourier`` left ``None``. Too few zeros raise
+    :class:`InsufficientStructureError`.
     """
-    if not isinstance(m, Spectrogram):
-        raise ConfigError("cell_areas expects a Spectrogram")
-    zt, zw, win = _windowed_zero_pair(m, window, noise_floor)
-    if zt.size < 2 or zw.size < 2:
+    if not isinstance(m, TimeFrequencyMap):
+        raise ConfigError("cell_areas expects a Spectrogram or a WignerMap")
+    window = _auto_window(m) if window is None else window
+    sec_t = _windowed_section(m, "delay", window.omega_center,
+                              window.tau_center, window.tau_halfwidth)
+    sec_w = _windowed_section(m, "frequency", window.tau_center,
+                              window.omega_center, window.omega_halfwidth)
+    zt = find_zeros(sec_t, noise_floor).positions
+    zw = find_zeros(sec_w, noise_floor).positions
+    if not m.signed and (zt.size < 2 or zw.size < 2):
         raise InsufficientStructureError(
             f"need at least 2 zeros per axis, found {zt.size} delay / "
             f"{zw.size} frequency zeros in the central window"
         )
-    return _build_report(zt, zw, win)
+    return _build_report(zt, zw, window)
 
 
 def wigner_cell_areas(m: WignerMap, window: Window | None = None) -> CellAreaReport:
-    """Measure interference cells of a Wigner map by sign-change zeros.
-
-    As :func:`cell_areas` but on the signed distribution. A state with
-    interference along only one phase-space direction yields a
-    one-directional spacing report with ``mean_area`` and
-    ``sub_fourier`` left ``None``; no sign changes along either
-    direction raises :class:`InsufficientStructureError`.
-    """
+    """:func:`cell_areas` of a map that must be a :class:`WignerMap`."""
     if not isinstance(m, WignerMap):
         raise ConfigError("wigner_cell_areas expects a WignerMap")
-    return _build_report(*_windowed_zero_pair(m, window, 0.0))
+    return cell_areas(m, window)
 
 
 def compass_plan(spec: CompassSpec):

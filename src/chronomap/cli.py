@@ -23,7 +23,6 @@ from .analysis import (
     cross_section,
     find_zeros,
     sweep_separation,
-    wigner_cell_areas,
 )
 from .errors import ComputeError, ConfigError, DataError, DomainError
 from .fieldcore import (
@@ -423,7 +422,7 @@ def areas(in_path, window_text, out_path, plot_path, stamp, dry_run, **kw):
         return _dry("areas")
     if in_path is None:
         m = shg_frog(f, taus)
-    report = wigner_cell_areas(m, window) if m.signed else cell_areas(m, window, cfg.noise_floor)
+    report = cell_areas(m, window, cfg.noise_floor)
     _write_areas(report, out_path, plot_path, stamp)
     if report.mean_area is None:
         click.echo("verdict not applicable: zeros resolved on one axis only")

@@ -25,8 +25,8 @@ from array import array
 import numpy as np
 
 from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoint
-from .errors import (ARRAY_RULES, CalibrationError, ConfigError, FormatError, ParseError,
-                     check_array, check_real)
+from .errors import (ARRAY_RULES, CalibrationError, ConfigError, DataError, FormatError,
+                     ParseError, check_array, check_real)
 from .fieldcore import ComplexField, SampleGrid
 from .transforms import Spectrogram, TimeFrequencyMap, WignerMap
 
@@ -114,14 +114,26 @@ def _built(cls, error, where, *args):
         raise error(f"{where}: {exc}") from None
 
 
-def _lines(fh, path, error):
-    """Yield ``(lineno, line)`` per line of a UTF-8 text handle; lines end at LF, CR or CRLF,
-    which is removed. Bytes that are not UTF-8 raise ``error`` wherever they are."""
-    try:
-        for lineno, line in enumerate(fh, 1):
-            yield lineno, line.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+@contextlib.contextmanager
+def _utf8_text(path, error):
+    """The UTF-8 text handle of ``path``. Bytes that are not UTF-8 raise ``error`` wherever
+    they are: a DataError raised before them gives way once the rest of the file, read in
+    64 KB chunks and dropped, fails to decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            try:
+                yield fh
+            except DataError:
+                while fh.read(1 << 16):
+                    pass
+                raise
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _lines(fh):
+    """``(lineno, line)`` per line of a text handle, its LF, CR or CRLF ending removed."""
+    return ((lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1))
 
 
 def _bulk_rows(lines, delimiter=None):
@@ -177,8 +189,7 @@ def _float_rows(path, rows, out, message):
 
 def _trace_lines(fh, path):
     """``(lineno, line)`` per line of a trace handle that is not blank, stripped."""
-    lines = ((lineno, line) for lineno, raw in _lines(fh, path, ParseError)
-             if (line := raw.strip()))
+    lines = ((lineno, line) for lineno, raw in enumerate(fh, 1) if (line := raw.strip()))
     first = next(lines, None)
     if first is None:
         raise ParseError(f"{path}: empty file")
@@ -323,7 +334,7 @@ def load_trace(path, format: str = "csv-long",
     if negative_policy not in ("reject", "clamp"):
         raise ConfigError(f"unknown negative policy {negative_policy!r}")
     read = _read_trace_long if format == "csv-long" else _read_trace_matrix
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path, ParseError) as fh:
         delays, wave, vals = read(path, fh)
     meta = {"source": os.path.basename(path), "format": format}
     if not np.all(np.isfinite(vals)):
@@ -551,8 +562,8 @@ def load_map(path):
 
     Blank lines after its 4-line header are skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _lines(fh, path, FormatError)
+    with _utf8_text(path, FormatError) as fh:
+        lines = _lines(fh)
         head = [line for _, line in itertools.islice(lines, 4)]
         if not head or head[0].split(" v")[0] != MAP_MAGIC.split(" v")[0]:
             raise FormatError(f"{path}: not a {MAP_MAGIC} file")
@@ -595,8 +606,8 @@ def save_field(f: ComplexField, path):
 
 def load_field(path) -> ComplexField:
     """Read a sampled field; blank lines after its 2-line header are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _lines(fh, path, FormatError)
+    with _utf8_text(path, FormatError) as fh:
+        lines = _lines(fh)
         head = [line for _, line in itertools.islice(lines, 2)]
         if not head or head[0] != FIELD_MAGIC:
             raise FormatError(f"{path}: not a {FIELD_MAGIC} file")

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test and one printed verdict line per criterion."""
+"""Acceptance gate: one test and one printed verdict line per criterion, and
+properties that hold a criterion over random states."""
 
 import filecmp
 import os
@@ -7,6 +8,8 @@ import time
 import numpy as np
 import numpy.testing as npt
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chronomap import (
     Calibration,
@@ -40,6 +43,7 @@ from chronomap import (
     wigner,
 )
 from chronomap.analysis import CrossSection
+from chronomap.fieldcore import spectral_support
 from chronomap.cli import main
 
 OMEGA0 = np.pi * 3.3
@@ -186,29 +190,33 @@ def test_criterion_5_oracle_equivalence():
     )
 
 
+def _wigner_and_marginal_deviation(f):
+    """``wigner(f)`` and the larger deviation of its two marginals from |f|^2 and the
+    spectral density, the latter where the map's frequency axis meets the FFT grid."""
+    wm = wigner(f)
+    W = _raw(wm)
+    dq = wm.q_axis[1] - wm.q_axis[0]
+    dp = wm.p_axis[1] - wm.p_axis[0]
+    marg_t = np.max(np.abs(W.sum(axis=1) * dp - np.abs(upsample2(f).samples) ** 2))
+    marg_p = W.sum(axis=0) * dq
+    s = np.abs(spectrum(f)) ** 2 / (2 * np.pi)
+    w_axis = f.grid.ang_freqs()
+    j = np.rint((-wm.p_axis - w_axis[0]) / f.grid.dw).astype(int)
+    on = (
+        (np.abs(-wm.p_axis - (w_axis[0] + j * f.grid.dw)) < 1e-9)
+        & (j >= 0)
+        & (j < f.grid.n)
+    )
+    return wm, max(marg_t, np.max(np.abs(marg_p[on] - s[j[on]])))
+
+
 def test_criterion_6_quasiprobability_properties():
     g = make_grid(512, 0.04, -10.24)
     unit_gauss = gaussian_pulse(g, PulseSpec(0, 0, 1.0, np.pi**-0.25, 0))
     worst_marginal = 0.0
     for f in (unit_gauss, compass_state(g, CompassSpec(2.0, OMEGA0, SIGMA))):
-        wm = wigner(f)
-        W = _raw(wm)
-        dq = wm.q_axis[1] - wm.q_axis[0]
-        dp = wm.p_axis[1] - wm.p_axis[0]
-        worst_marginal = max(
-            worst_marginal,
-            np.max(np.abs(W.sum(axis=1) * dp - np.abs(upsample2(f).samples) ** 2)),
-        )
-        marg_p = W.sum(axis=0) * dq
-        s = np.abs(spectrum(f)) ** 2 / (2 * np.pi)
-        w_axis = f.grid.ang_freqs()
-        j = np.rint((-wm.p_axis - w_axis[0]) / f.grid.dw).astype(int)
-        on = (
-            (np.abs(-wm.p_axis - (w_axis[0] + j * f.grid.dw)) < 1e-9)
-            & (j >= 0)
-            & (j < g.n)
-        )
-        worst_marginal = max(worst_marginal, np.max(np.abs(marg_p[on] - s[j[on]])))
+        wm, marginal = _wigner_and_marginal_deviation(f)
+        worst_marginal = max(worst_marginal, marginal)
         assert wm.scale <= 1 / np.pi + 1e-8
     wm = wigner(unit_gauss)
     peak_ok = (
@@ -221,6 +229,25 @@ def test_criterion_6_quasiprobability_properties():
         6, "quasiprobability marginals, bound, and positive peak", ok,
         f"worst marginal deviation {worst_marginal:.2e}",
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([256, 512]), st.data())
+def test_criterion_6_holds_on_random_compass_states(n, data):
+    # t0 up to 1.5 ps (6 sigma) short of half the span, carriers up to 4 pi rad/ps
+    g = make_grid(n, 0.04, -n * 0.04 / 2)
+    t0 = data.draw(st.floats(0.8, n * 0.04 / 2 - 1.5))
+    omega0 = np.pi * data.draw(st.floats(1.0, 4.0))
+    four = dict(min_size=4, max_size=4)
+    amplitudes = data.draw(st.lists(st.floats(0, 1), **four).filter(any))
+    phases = data.draw(st.lists(st.floats(-np.pi, np.pi), **four))
+    f = compass_state(g, CompassSpec(t0, omega0, SIGMA, tuple(amplitudes), tuple(phases)))
+    # wigner refuses a spectrum past half-Nyquist: a carrier near 4 pi rad/ps, or a pulse
+    # whose tail still reaches the grid edge (about 2% of these draws)
+    assume(spectral_support(f) <= np.pi / (2 * g.dt))
+    wm, marginal = _wigner_and_marginal_deviation(f)
+    assert marginal <= 1e-8
+    assert wm.scale <= 1 / np.pi + 1e-8
 
 
 def test_criterion_7_shaper_replicas():

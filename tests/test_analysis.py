@@ -37,6 +37,7 @@ from chronomap import (
     interior_spacings,
     load_map,
     make_grid,
+    overlap_map,
     save_map,
     shg_frog,
     sweep_separation,
@@ -328,6 +329,11 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _report_bits(r):
+    return (*(_bits(a) for a in (r.tau_spacings, r.omega_spacings, r.cell_areas)),
+            r.mean_area, r.sub_fourier, r.window)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_samples(_SCALES + [sys.float_info.max]),
        st.one_of(st.sampled_from([0.0, 0.05]), st.floats(0, 1, exclude_max=True)), st.data())
@@ -362,8 +368,7 @@ def test_report_equals_the_two_path_report_bitwise(zt, zw):
         except ChronoError as exc:
             outcomes.append((type(exc), str(exc)))
         else:
-            outcomes.append((*(_bits(a) for a in (r.tau_spacings, r.omega_spacings, r.cell_areas)),
-                             r.mean_area, r.sub_fourier, r.window))
+            outcomes.append(_report_bits(r))
     assert outcomes[0] == outcomes[1]
 
 
@@ -417,11 +422,19 @@ def test_cell_areas_auto_window():
 
 def test_cell_areas_rejects_wrong_type():
     g = make_grid(512, 0.04, -10.24)
-    wm = wigner(compass_state(g, CompassSpec(2.0, OMEGA0, SIGMA)))
+    f = compass_state(g, CompassSpec(2.0, OMEGA0, SIGMA))
+    wm, w = wigner(f), Window(0, 1, 0, 1)
+    # either map kind is measured, a Wigner map as wigner_cell_areas measures it
+    assert _report_bits(cell_areas(wm, w)) == _report_bits(wigner_cell_areas(wm, w))
     with pytest.raises(ConfigError):
-        cell_areas(wm, Window(0, 1, 0, 1))
+        cell_areas(overlap_map(f, [0.0, 0.04], [0.0, 1.0]), w)
     with pytest.raises(ConfigError):
-        wigner_cell_areas(compass_map(t0=1.5, n=512, dt=0.04), Window(0, 1, 0, 1))
+        wigner_cell_areas(compass_map(t0=1.5, n=512, dt=0.04), w)
+
+
+def _spacing_ratio(rep):
+    """The largest over the smallest interior zero spacing, on the worse axis."""
+    return max(s.max() / s.min() for s in (rep.tau_spacings, rep.omega_spacings))
 
 
 @settings(max_examples=25, deadline=None)
@@ -438,6 +451,7 @@ def test_cell_areas_meet_the_law_at_four_to_twenty_samples_per_fringe(per_fringe
     steps = int(round((t0 + 0.5) / dt))
     rep = cell_areas(shg_frog(f, dt * np.arange(-steps, steps + 1)), Window(0, t0, 0, OMEGA0))
     npt.assert_allclose(rep.mean_area, np.pi**2 / (t0 * OMEGA0), rtol=2e-2)
+    assert _spacing_ratio(rep) < 1.5
 
 
 # ----------------------------------------------------- Wigner cell areas
@@ -455,6 +469,21 @@ def test_wigner_cell_areas_compass():
     npt.assert_allclose(rep.mean_area, frog_rep.mean_area / 4, rtol=2e-2)
     npt.assert_allclose(rep.tau_spacings, np.pi / (2 * OMEGA0), rtol=2e-2)
     npt.assert_allclose(rep.omega_spacings, np.pi / 5, rtol=2e-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.0, 2.5))
+@example(1.0)
+@example(2.5)
+def test_wigner_cells_meet_the_law_with_regular_spacings(t0):
+    # the figure-4 grid; Wigner cells are a quarter of the spectrogram's, pi^2/(4 t0 w0)
+    g = make_grid(512, 0.04, -10.24)
+    wm = wigner(compass_state(g, CompassSpec(t0, OMEGA0, SIGMA)))
+    w = Window(0, t0 / 2, 0, OMEGA0 / 2)
+    rep = cell_areas(wm, w)
+    npt.assert_allclose(rep.mean_area, np.pi**2 / (4 * t0 * OMEGA0), rtol=2e-2)
+    assert _spacing_ratio(rep) < 1.5
+    assert _report_bits(rep) == _report_bits(wigner_cell_areas(wm, w))
 
 
 def test_wigner_cell_areas_cat_one_direction():

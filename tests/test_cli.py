@@ -1,6 +1,7 @@
 """CLI tests: exit codes, file outputs, dry runs, and determinism."""
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -15,13 +16,17 @@ from click.testing import CliRunner
 from chronomap import (
     Calibration,
     CompassSpec,
+    Window,
     compass_state,
+    export_plot_data,
     load_field,
     load_map,
     make_grid,
+    save_report,
     shg_frog,
     trace_from_spectrogram,
     wigner,
+    wigner_cell_areas,
     save_map,
 )
 from chronomap.transforms import WignerMap
@@ -164,6 +169,27 @@ def test_areas_of_a_stored_map_with_zeros_on_one_axis(tmp_path):
                     "--out", str(tmp_path / "a.json"))
     assert result.exit_code == 0, all_text(result)
     assert "verdict not applicable: zeros resolved on one axis only" in result.output
+
+
+def test_areas_of_a_stored_wigner_map_is_its_wigner_cell_report(tmp_path):
+    # the compass Wigner map: one cell_areas call measures it through the CLI, and the
+    # bytes are those written when the CLI chose wigner_cell_areas for signed maps
+    w = str(tmp_path / "w.chronomap")
+    assert invoke("wigner", "--n", "512", "--dt", "0.04", "--out", w).exit_code == 0
+    window = Window(0.0, 1.0, 0.0, OMEGA0 / 2)
+    out, plot = tmp_path / "a.json", tmp_path / "a.dat"
+    result = invoke("areas", "--input", w, "--window", f"0,1.0,0,{OMEGA0 / 2!r}",
+                    "--out", str(out), "--plot-data", str(plot))
+    assert result.exit_code == 0, all_text(result)
+    report = wigner_cell_areas(load_map(w), window)
+    save_report(report, str(tmp_path / "ref.json"))
+    export_plot_data(report, str(tmp_path / "ref.dat"))
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert plot.read_bytes() == (tmp_path / "ref.dat").read_bytes()
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, plot)] == [
+        "3233bb87b639a7b4c44282a46e1a804bb6c1444f168ca33108927a08e1f1827e",
+        "9fbf426c5b1f53d634b22cff7735c8e92222a89f3a8e9c9e8ed2044f5ba80cdd",
+    ]
 
 
 def test_areas_cli_reports_verdict(tmp_path):

@@ -398,7 +398,8 @@ STRUCTURAL = {"csv-long": sorted(set(LONG_DEFECTS) - {"bad token", "two columns"
                                                       "four columns", "header only"}),
               "csv-matrix": sorted(set(MATRIX_DEFECTS) - {"bad token", "bad axis token"})}
 # ... and defects that stop a line's parse. \udcff is written as the byte 0xff, which
-# no UTF-8 text holds, so a small file fails to decode before its first line is read
+# no UTF-8 text holds, so the loaders name it before any other error, as the reference
+# does (see test_bytes_that_are_not_utf8_are_named_first_whatever_the_size)
 LINE_STOPS = {"bad token": "x", "two columns": None, "four columns": ",1", "not UTF-8": "\udcff"}
 
 
@@ -753,6 +754,37 @@ def test_non_utf8_bytes_mid_trace_are_parse_errors(tmp_path):
     p.write_bytes(b"delay_ps,wavelength_nm,intensity\n" + rows.encode() + b"9,780,\xe9\n")
     with pytest.raises(ParseError, match="latin1.csv: not UTF-8"):
         load_trace(str(p))
+
+
+_ORDER_ERROR = b"delay_ps,wavelength_nm,intensity\n0,781,1\n0,780,1\n"  # line 3 falls
+_LATER_ROWS = b"".join(b"%d,780,1\n" % k for k in range(1, 1400))
+
+
+@pytest.mark.parametrize("body,loader,reference,error", [
+    # a lone lead byte: the decoder rejects it only at the end of the file
+    pytest.param(_ORDER_ERROR + b"\xe9", load_trace, _ref_load_trace, ParseError,
+                 id="trace-lone-lead-byte"),
+    pytest.param(_ORDER_ERROR + _LATER_ROWS + b"\xff", load_trace, _ref_load_trace, ParseError,
+                 id="trace-late-0xff"),
+    # a bad token stops the line-by-line read on line 2
+    pytest.param(_ORDER_ERROR.replace(b"781,1", b"781,x") + _LATER_ROWS + b"\xff", load_trace,
+                 _ref_load_trace, ParseError, id="trace-bad-token-late-0xff"),
+    pytest.param(b"CHRONO-MAP v1\nspectrogram broken\n0 1\n0 1\n" + b"0.5 0.5\n" * 1750
+                 + b"\xff\n", load_map, _ref_load_map, FormatError, id="map-late-0xff"),
+    pytest.param(b"CHRONO-FIELD v1\n16 0.5\n" + b"0.25 0.125\n" * 1160 + b"\xff\n",
+                 load_field, _ref_load_field, FormatError, id="field-late-0xff"),
+])
+def test_bytes_that_are_not_utf8_are_named_first_whatever_the_size(tmp_path, body, loader,
+                                                                  reference, error):
+    # Each file has an error on line 2 or 3 and bytes that are not UTF-8 further on: at
+    # its end, or past the text layer's first 8 KB chunk (the late files are 12.8-14.3 KB).
+    # The reference decodes the whole file first, so the bytes are named, not the line.
+    path = tmp_path / "late.bin"
+    path.write_bytes(body)
+    args = (str(path), "csv-long", "reject") if loader is load_trace else (str(path),)
+    with pytest.raises(UnicodeDecodeError) as ref:
+        reference(*args)
+    assert _outcome(loader, *args) == (error, f"{path}: not UTF-8 text ({ref.value.reason})")
 
 
 def test_non_utf8_field_is_format_error(tmp_path):
