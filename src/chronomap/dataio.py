@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import mmap
 import os
 import shutil
@@ -28,7 +29,7 @@ from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoin
 from .errors import (ARRAY_RULES, CalibrationError, ConfigError, DataError, FormatError,
                      ParseError, check_array, check_real)
 from .fieldcore import ComplexField, SampleGrid
-from .transforms import Spectrogram, TimeFrequencyMap, WignerMap
+from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, row_blocks
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 SPEED_OF_LIGHT_NM_PER_PS = 299792.458
@@ -549,12 +550,21 @@ def save_map(m, path, format: str = "native"):
 
 
 def _save_pgm(values, path):
+    """8-bit raster of ``values``, ``min`` at 0 and ``max`` at 255, written in
+    the row blocks of ``transforms.row_blocks``, so no temporary is map-sized."""
     lo, hi = float(values.min()), float(values.max())
+    # a span past the float range is taken on halved values, which keep their order
+    half = not math.isfinite(hi - lo)
+    if half:
+        lo, hi = lo / 2, hi / 2
     span = hi - lo if hi > lo else 1.0
-    gray = np.round((values - lo) / span * 255).astype(np.uint8)
     with atomic_open(path, "wb") as fh:
-        fh.write(f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+        fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii"))
+        for start, stop in row_blocks(*values.shape):
+            block = values[start:stop]
+            if half:
+                block = block / 2
+            fh.write(np.round((block - lo) / span * 255).astype(np.uint8).tobytes())
 
 
 def load_map(path):

@@ -262,7 +262,7 @@ def _shifted_products(a: np.ndarray, E: np.ndarray, steps,
                          out=out)
 
 
-def _row_blocks(nrows: int, width: int):
+def row_blocks(nrows: int, width: int):
     """``(lo, hi)`` row ranges of about ``BLOCK_CELLS`` cells each, largest first."""
     step = max(1, BLOCK_CELLS // width)
     return [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
@@ -295,7 +295,7 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
     steps = g.delay_steps(tau_axis)
     n = g.n
     E = field.samples
-    blocks = _row_blocks(steps.size, n)
+    blocks = row_blocks(steps.size, n)
     buf = np.empty((blocks[0][1], n), dtype=np.complex128)
     vals = _map_empty((steps.size, n), np.float64)
     peak = 0.0
@@ -383,7 +383,7 @@ def _wigner_rows(pairs, lo: int, out: np.ndarray, dt: float) -> float:
     their peak ``max |W|``.
     """
     nrows, width = out.shape
-    blocks = _row_blocks(nrows, width)
+    blocks = row_blocks(nrows, width)
     buf = np.zeros((blocks[0][1], width), dtype=np.complex128)  # slot n stays zero
     max_imag = peak = 0.0
     for a, b in blocks:
@@ -494,7 +494,7 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis) -> OverlapMap:
         cols, phase = (j + n // 2) % n, (g.dt * np.exp(1j * w * g.t_start))[j]
     else:
         kernel = np.exp(1j * np.outer(g.times(), dnus))
-    blocks = _row_blocks(steps.size, n)
+    blocks = row_blocks(steps.size, n)
     buf = np.empty((blocks[0][1], n), dtype=np.complex128)
     vals = _map_empty((steps.size, dnus.size), np.complex128)
     for lo, hi in blocks:
@@ -566,6 +566,6 @@ def correspondence_maps(field: ComplexField):
                                      _half_coordinate_pattern(field, frog.tau_axis))
     residual = max(  # by row blocks, so no map-sized difference is built
         float(np.max(np.abs(frog.values[lo:hi] - pattern.values[lo:hi])))
-        for lo, hi in _row_blocks(*pattern.values.shape)
+        for lo, hi in row_blocks(*pattern.values.shape)
     )
     return frog, pattern, residual

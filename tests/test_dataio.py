@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronomap import (
     CalibrationError,
@@ -20,6 +23,7 @@ from chronomap import (
     Spectrogram,
     SweepPoint,
     Window,
+    WignerMap,
     calibrate_to_spectrogram,
     compass_state,
     cross_section,
@@ -37,6 +41,7 @@ from chronomap import (
     wavelength_to_angular_frequency,
     wigner,
 )
+from chronomap.transforms import BLOCK_CELLS
 
 OMEGA0 = np.pi * 3.3
 
@@ -417,6 +422,74 @@ def test_save_map_pgm(tmp_path):
     assert len(payload) == rows * cols
     with pytest.raises(FormatError):
         load_map(str(p))
+
+
+def whole_map_pgm(values):
+    """The raster as one whole-map formula: the reference for the blocked writer."""
+    lo, hi = float(values.min()), float(values.max())
+    span = hi - lo if hi > lo else 1.0
+    gray = np.round((values - lo) / span * 255).astype(np.uint8)
+    return f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii") + gray.tobytes()
+
+
+@st.composite
+def raster_maps(draw):
+    """Maps of one row, one column, several row blocks with a partial last block,
+    or rows wider than a block; signed, non-negative or constant values."""
+    layout = draw(st.sampled_from(["row", "column", "blocks", "wide"]))
+    if layout == "row":
+        shape = (1, draw(st.integers(1, 2 * BLOCK_CELLS)))
+    elif layout == "column":
+        shape = (draw(st.integers(1, 3 * BLOCK_CELLS)), 1)
+    elif layout == "blocks":
+        cols = draw(st.integers(2, 700))
+        step = BLOCK_CELLS // cols
+        shape = (step * draw(st.integers(1, 3)) + draw(st.integers(1, step - 1)), cols)
+    else:
+        shape = (draw(st.integers(1, 3)), draw(st.integers(BLOCK_CELLS + 1, BLOCK_CELLS + 4000)))
+    kind = draw(st.sampled_from(["signed", "non-negative", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 10.0 ** draw(st.integers(-300, 300))
+    if kind == "constant":
+        values = np.full(shape, size * draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    elif kind == "signed":
+        values = size * rng.uniform(-1.0, 1.0, shape)
+    else:
+        values = size * rng.random(shape)
+    cls = Spectrogram if values.min() >= 0 else WignerMap
+    return cls(np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), values, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(raster_maps())
+def test_pgm_bytes_equal_the_whole_map_formula(tmp_path_factory, m):
+    p = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    save_map(m, str(p), format="pgm")
+    assert p.read_bytes() == whole_map_pgm(m.values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pgm_of_a_span_past_the_float_range(tmp_path):
+    m = WignerMap([0.0, 1.0], [0.0, 1.0], [[-1e308, 1e308], [0.0, 0.5]], 1.0)
+    p = tmp_path / "m.pgm"
+    save_map(m, str(p), format="pgm")
+    # on the halved span, 0 and 0.5 both sit at 127.5, which rounds to even
+    assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 128, 128])
+
+
+def test_pgm_working_memory_is_bounded(tmp_path):
+    """Figure 4's raster is written in row blocks: its temporaries stay far below the map."""
+    g = make_grid(512, 0.04, -10.24)
+    m = wigner(compass_state(g, CompassSpec(2.0, OMEGA0, 0.25)))
+    assert m.values.shape == (1024, 1024)
+    tracemalloc.start()
+    try:
+        save_map(m, str(tmp_path / "fig4.pgm"), format="pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.values.nbytes / 4, f"traced peak {peak} bytes"
 
 
 def test_save_map_rejects(tmp_path):
