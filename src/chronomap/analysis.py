@@ -21,7 +21,7 @@ from .errors import (
     check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
-from .transforms import BLOCK_CELLS, TimeFrequencyMap, WignerMap, check_axis, shg_frog
+from .transforms import TimeFrequencyMap, WignerMap, check_axis, row_blocks, shg_frog
 
 SUB_FOURIER_LIMIT = 0.5
 
@@ -412,8 +412,9 @@ def _resample_bilinear(values, ax_t, ax_w, ts, ws):
     Both grids ascend and the targets lie inside the source axes. Rows
     are interpolated along the time-like axis first, then columns along
     the frequency axis; a target on the last node takes the last
-    interval at offset 1. Target rows are blended in blocks of about
-    ``BLOCK_CELLS`` source cells, so no temporary is map-sized.
+    interval at offset 1. Target rows are blended in the row blocks of
+    ``transforms.row_blocks`` over the source width, so no temporary is
+    map-sized.
     """
 
     def weights(axis, x):
@@ -423,11 +424,10 @@ def _resample_bilinear(values, ax_t, ax_w, ts, ws):
     i, y = weights(ax_t, ts)
     j, z = weights(ax_w, ws)
     out = np.empty((ts.size, ws.size))
-    step = max(1, BLOCK_CELLS // values.shape[1])
-    for lo in range(0, ts.size, step):
-        k, f = i[lo : lo + step], y[lo : lo + step, None]
+    for lo, hi in row_blocks(ts.size, values.shape[1]):
+        k, f = i[lo:hi], y[lo:hi, None]
         rows = values[k] * (1 - f) + values[k + 1] * f
-        out[lo : lo + step] = rows[:, j] * (1 - z) + rows[:, j + 1] * z
+        out[lo:hi] = rows[:, j] * (1 - z) + rows[:, j + 1] * z
     return out
 
 

@@ -44,6 +44,21 @@ discrete lag-kernel form). The overlap map's one blocked loop serves
 both routes, which its frequency shifts choose (see :func:`overlap_map`).
 Every map is divided by its peak in :meth:`TimeFrequencyMap.normalized`.
 
+Row runs
+--------
+One driver, :func:`_each_block`, runs the FROG, Wigner and overlap block
+loops. It splits the row blocks into one contiguous run per CPU of the
+process's CPU set (``os.sched_getaffinity``; limit it with ``taskset``)
+and runs each run on a thread of its own, which pays because numpy
+releases the GIL inside its FFT and ufunc loops. Each run owns one
+complex block buffer, and the FFTs run in place in it. The blocks and
+their arithmetic are those of the serial loop, and peaks and the
+imaginary residue are combined with ``max``, so every map and residual
+is bitwise equal whatever the number of runs. A one-block map or a
+one-CPU set runs its blocks on the calling thread. Every thread is
+joined before the transform returns, and an exception raised in a run
+is raised again on the caller.
+
 The correspondence check evaluates only the Wigner nodes it reads, the
 q rows at ``tau/2`` and the p columns at ``omega/2``. Those are every
 second p node, which is the n-point transform of the lag sequence folded
@@ -56,6 +71,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +285,49 @@ def row_blocks(nrows: int, width: int):
     return [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_block(nrows: int, width: int, body) -> list:
+    """``body(lo, hi, buf)`` over the row blocks of an ``nrows x width`` map.
+
+    The blocks of :func:`row_blocks` are split into one contiguous run
+    per usable CPU (at most one per block); each run owns a complex
+    ``buf`` of its largest block, sliced to ``hi - lo`` rows. Run 0 goes
+    on the calling thread, the others on threads of their own, all joined
+    before this returns; an exception raised in a run is raised again
+    here. Returns the body's results in block order.
+    """
+    blocks = row_blocks(nrows, width)
+    k = min(_cpus(), len(blocks))
+    runs = [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
+    results = [None] * k
+
+    def run(i):
+        try:
+            buf = np.empty((runs[i][0][1] - runs[i][0][0], width), dtype=np.complex128)
+            results[i] = [body(lo, hi, buf[: hi - lo]) for lo, hi in runs[i]]
+        except Exception as exc:  # raised again on the calling thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return [x for r in results for x in r]
+
+
 def _shift_pairs(m: int):
     """``(source, destination)`` column slices of an fftshift of even length m."""
     h = m // 2
@@ -295,19 +355,19 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
     steps = g.delay_steps(tau_axis)
     n = g.n
     E = field.samples
-    blocks = row_blocks(steps.size, n)
-    buf = np.empty((blocks[0][1], n), dtype=np.complex128)
     vals = _map_empty((steps.size, n), np.float64)
-    peak = 0.0
-    for lo, hi in blocks:
-        rows = np.fft.ifft(_shifted_products(E, E, steps[lo:hi], out=buf[: hi - lo]), axis=1)
+
+    def block(lo, hi, buf):
+        rows = np.fft.ifft(_shifted_products(E, E, steps[lo:hi], out=buf), axis=1, out=buf)
         rows *= n
         for src, dst in _shift_pairs(n):
             v = vals[lo:hi, dst]
             np.square(rows.real[:, src], out=v)
             v += np.square(rows.imag[:, src])
         vals[lo:hi] *= g.dt * g.dt
-        peak = max(peak, float(vals[lo:hi].max()))
+        return float(vals[lo:hi].max())
+
+    peak = max(0.0, *_each_block(steps.size, n, block))
     return Spectrogram.normalized(steps * g.dt, g.ang_freqs(), vals, peak)
 
 
@@ -357,8 +417,8 @@ def _parity_operands(F2: np.ndarray) -> list:
 def _wigner_lags(pairs, lo: int, hi: int, out: np.ndarray):
     """Lag products of refined rows ``lo <= h < hi`` into ``out[: hi - lo]``.
 
-    With 2n columns the slot of lag k is ``k mod 2n`` (slot n stays
-    zero); with n columns the lags are folded mod n, which feeds the
+    With 2n columns the slot of lag k is ``k mod 2n`` (slot n is
+    zeroed); with n columns the lags are folded mod n, which feeds the
     n-point transform of the even p nodes only.
     """
     n = (pairs[0][0].size + 2) // 3  # operands hold n samples and 2n - 2 zeros
@@ -372,6 +432,7 @@ def _wigner_lags(pairs, lo: int, hi: int, out: np.ndarray):
         if out.shape[1] == n:
             rows[:, 1:] += _lag_products(R, Gc, n - 1 - a, a, n - 1)  # k < 0, folded
         else:
+            rows[:, n] = 0
             _lag_products(R, Gc, n - 1 - a, a, n - 1, out=rows[:, n + 1 :])
 
 
@@ -383,18 +444,20 @@ def _wigner_rows(pairs, lo: int, out: np.ndarray, dt: float) -> float:
     their peak ``max |W|``.
     """
     nrows, width = out.shape
-    blocks = row_blocks(nrows, width)
-    buf = np.zeros((blocks[0][1], width), dtype=np.complex128)  # slot n stays zero
-    max_imag = peak = 0.0
-    for a, b in blocks:
+
+    def block(a, b, buf):
         _wigner_lags(pairs, lo + a, lo + b, buf)
-        S = np.fft.ifft(buf[: b - a], axis=1)
+        S = np.fft.ifft(buf, axis=1, out=buf)
         S *= width
         S *= dt / math.pi
         for src, dst in _shift_pairs(width):
             out[a:b, dst] = S.real[:, src]
-        max_imag = max(max_imag, float(np.max(np.abs(S.imag))))
-        peak = max(peak, float(np.max(np.abs(out[a:b]))))
+        # max |x| as max(max x, -min x), so no temporary is made
+        return (max(float(S.imag.max()), -float(S.imag.min())),
+                max(float(out[a:b].max()), -float(out[a:b].min())))
+
+    imags, peaks = zip(*_each_block(nrows, width, block))
+    max_imag, peak = max(0.0, *imags), max(0.0, *peaks)
     if peak > 0 and max_imag > IMAG_RESIDUE_LIMIT * peak:
         raise ComputeError(
             f"Wigner imaginary residue {max_imag:g} exceeds {IMAG_RESIDUE_LIMIT:g} of peak {peak:g}"
@@ -494,19 +557,20 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis) -> OverlapMap:
         cols, phase = (j + n // 2) % n, (g.dt * np.exp(1j * w * g.t_start))[j]
     else:
         kernel = np.exp(1j * np.outer(g.times(), dnus))
-    blocks = row_blocks(steps.size, n)
-    buf = np.empty((blocks[0][1], n), dtype=np.complex128)
     vals = _map_empty((steps.size, dnus.size), np.complex128)
-    for lo, hi in blocks:
-        rows = _shifted_products(Ec, E, steps[lo:hi], out=buf[: hi - lo])
+
+    def block(lo, hi, buf):
+        rows = _shifted_products(Ec, E, steps[lo:hi], out=buf)
         if aligned:
-            rows = np.fft.ifft(rows, axis=1)
+            np.fft.ifft(rows, axis=1, out=rows)
             rows *= n
             np.multiply(np.take(rows, cols, axis=1), phase, out=vals[lo:hi])
         else:
             np.matmul(rows, kernel, out=vals[lo:hi])
             vals[lo:hi] *= g.dt
         vals[lo:hi] /= e0
+
+    _each_block(steps.size, n, block)
     return OverlapMap(dts, dnus, vals)
 
 

@@ -684,17 +684,17 @@ def _ref_compare_maps(a, b):
 @given(_uniform_axis(), _uniform_axis(), st.integers(2, 30), st.integers(2, 30),
        st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_resample_blocks_equal_the_two_pass_blend(ax_t, ax_w, n_t, n_w, block, seed):
-    import chronomap.analysis as analysis
+    import chronomap.transforms as transforms
 
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(ax_t.size, ax_w.size))
     ts = np.sort(rng.uniform(ax_t[0], ax_t[-1], n_t))
     ws = np.sort(rng.uniform(ax_w[0], ax_w[-1], n_w))
-    saved, analysis.BLOCK_CELLS = analysis.BLOCK_CELLS, block  # blocks of a few rows
+    saved, transforms.BLOCK_CELLS = transforms.BLOCK_CELLS, block  # blocks of a few rows
     try:
         got = _resample_bilinear(values, ax_t, ax_w, ts, ws)
     finally:
-        analysis.BLOCK_CELLS = saved
+        transforms.BLOCK_CELLS = saved
     assert got.tobytes() == _ref_resample_bilinear(values, ax_t, ax_w, ts, ws).tobytes()
 
 

@@ -29,3 +29,18 @@ def test_a_short_run_gives_its_environment_and_result_lines():
 def test_output_that_does_not_end_in_both_lines_is_refused(stdout):
     with pytest.raises(ValueError, match="environment and result lines"):
         bench_record.parse_run(stdout)
+
+
+def test_src_status_names_what_differs_from_the_commit(tmp_path):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.md").write_text("outside src\n")
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "c"], check=True)
+    assert bench_record.src_status(tmp_path) == []
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    (tmp_path / "src" / "b.py").write_text("y = 1\n")
+    (tmp_path / "notes.md").write_text("changed outside src\n")
+    assert bench_record.src_status(tmp_path) == [" M src/a.py", "?? src/b.py"]

@@ -209,8 +209,10 @@ def test_node_subset_pattern_matches_full_wigner(state):
 def test_correspondence_checks_imaginary_residue_on_nodes(monkeypatch):
     f = correspondence_states()["chirped"]
     monkeypatch.setattr(transforms, "IMAG_RESIDUE_LIMIT", 0.0)
-    with pytest.raises(ComputeError, match="imaginary residue"):
-        correspondence_residual(f)
+    for cpus in (1, 2, 3):  # the 511 pattern rows come in 4 blocks
+        monkeypatch.setattr(transforms, "_cpus", lambda: cpus)
+        with pytest.raises(ComputeError, match="imaginary residue"):
+            correspondence_residual(f)
 
 
 # ------------------------------------------------ FFT-vs-oracle as a property

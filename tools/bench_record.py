@@ -6,8 +6,11 @@ Run from anywhere inside a checkout. Each workload named in
 BENCHMARK.json runs once through ``perfbench/run.py`` with tracing off,
 seed 0, for the file's ``run_seconds``. The record
 keeps each run's result line (``correct``, attempted and failed ops,
-the end-to-end metrics) and its environment line (commit, source hash,
-interpreter, numpy and CPU), and is written to the root of the checkout.
+the end-to-end metrics), its environment line (commit, source hash,
+interpreter, numpy and CPU) and ``src_status``, the lines of
+``git status --porcelain -- src`` when it ran, so a run on a tree that
+differs from its commit says so. It is written to the root of the
+checkout.
 """
 
 import argparse
@@ -29,6 +32,12 @@ def parse_run(stdout):
     return json.loads(lines[-2][len(ENV_PREFIX):]), json.loads(lines[-1])
 
 
+def src_status(root):
+    """``git status --porcelain -- src`` of the checkout at ``root``, one entry a line."""
+    return subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                          capture_output=True, text=True, check=True).stdout.splitlines()
+
+
 def run_workload(name, seconds):
     proc = subprocess.run([sys.executable, RUN, "--workload", name, "--seed", "0",
                            "--seconds", str(seconds), "--trace", "0"],
@@ -36,7 +45,7 @@ def run_workload(name, seconds):
     if proc.returncode != 0:
         sys.exit(f"{name}: run.py exited {proc.returncode}\n{proc.stderr}")
     environment, result = parse_run(proc.stdout)
-    return {"environment": environment, **result}
+    return {"environment": environment, "src_status": src_status(ROOT), **result}
 
 
 def main():
