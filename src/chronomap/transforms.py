@@ -46,18 +46,30 @@ Every map is divided by its peak in :meth:`TimeFrequencyMap.normalized`.
 
 Row runs
 --------
-One driver, :func:`_each_block`, runs the FROG, Wigner and overlap block
-loops. It splits the row blocks into one contiguous run per CPU of the
-process's CPU set (``os.sched_getaffinity``; limit it with ``taskset``)
-and runs each run on a thread of its own, which pays because numpy
-releases the GIL inside its FFT and ufunc loops. Each run owns one
-complex block buffer, and the FFTs run in place in it. The blocks and
-their arithmetic are those of the serial loop, and peaks and the
-imaginary residue are combined with ``max``, so every map and residual
+One driver, :func:`_each_block`, runs every map-sized pass: the FROG,
+Wigner and overlap block loops, the peak search and in-place division of
+:meth:`TimeFrequencyMap.normalized`, the value rule of every map
+constructor (``check_array``'s rule on each row block), the squaring of
+the correspondence pattern and the correspondence residual. It splits
+the row blocks into one contiguous run per CPU of the process's CPU set
+(``os.sched_getaffinity``; limit it with ``taskset``) and runs each run
+on a thread of its own, which pays because numpy releases the GIL inside
+its FFT and ufunc loops. Each run owns one complex block buffer, and the
+FFTs run in place in it. The blocks and their arithmetic are those of
+the serial loop, peaks and the imaginary residue are combined with
+``max`` and rule results with ``all``, so every map, scale and residual
 is bitwise equal whatever the number of runs. A one-block map or a
 one-CPU set runs its blocks on the calling thread. Every thread is
-joined before the transform returns, and an exception raised in a run
-is raised again on the caller.
+joined before the pass returns, and an exception raised in a run is
+raised again on the caller. Operands are zero padded once per transform,
+and lag windows are strided views built directly on them.
+
+The inverse FFTs are unnormalized (``norm="forward"``), where scaling by
+1/n and multiplying back by n would cost a pass per block. With n a
+power of two both scalings are exact, so the two routes differ only
+where a 1/n-scaled value would be subnormal (``|x| < 2**-1022 * n``).
+FROG squares such values to 0 either way; a Wigner or overlap value that
+small is now the correctly rounded one.
 
 The correspondence check evaluates only the Wigner nodes it reads, the
 q rows at ``tau/2`` and the p columns at ``omega/2``. Those are every
@@ -158,8 +170,8 @@ class TimeFrequencyMap:
     def __post_init__(self):
         t = check_axis("time_axis", self.time_axis)
         w = check_axis("freq_axis", self.freq_axis)
-        v = check_array(f"{self.kind} values", self.values, shape=(t.size, w.size),
-                        rule="finite" if self.signed else "non-negative")
+        v = check_array(f"{self.kind} values", self.values, shape=(t.size, w.size), rule=None)
+        _check_rows(f"{self.kind} values", v, "finite" if self.signed else "non-negative")
         check_real({"scale": self.scale}, scale=">= 0")
         object.__setattr__(self, "time_axis", t)
         object.__setattr__(self, "freq_axis", w)
@@ -170,11 +182,12 @@ class TimeFrequencyMap:
     def normalized(cls, time_axis, freq_axis, raw: np.ndarray, peak=None):
         """Map of ``raw`` divided in place by ``peak``, which becomes ``scale``:
         by default ``max raw``, or ``max |raw|`` for a signed type. A map with
-        no positive peak is stored raw."""
+        no positive peak is stored raw. Both passes run on the row runs."""
         if peak is None:
-            peak = max(raw.max(), -raw.min()) if cls.signed else raw.max()
+            peak = max(_each_block(*raw.shape, lambda lo, hi, buf: _peak(raw[lo:hi], cls.signed)))
         if peak > 0:
-            raw /= peak
+            _each_block(*raw.shape,
+                        lambda lo, hi, buf: np.divide(raw[lo:hi], peak, out=raw[lo:hi]))
         return cls(time_axis, freq_axis, raw, peak)
 
 
@@ -213,7 +226,8 @@ class OverlapMap:
     def __post_init__(self):
         dts = check_array("dt_axis", self.dt_axis, shape=1, rule="strictly increasing")
         dnus = check_array("dnu_axis", self.dnu_axis, shape=1, rule="strictly increasing")
-        v = check_array("overlap values", self.values, complex, (dts.size, dnus.size))
+        v = check_array("overlap values", self.values, complex, (dts.size, dnus.size), rule=None)
+        _check_rows("overlap values", v, "finite")
         object.__setattr__(self, "dt_axis", dts)
         object.__setattr__(self, "dnu_axis", dnus)
         object.__setattr__(self, "values", v)
@@ -238,19 +252,21 @@ def check_sampling(field: ComplexField, what: str = "transform"):
 
 
 def _windows(v: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
-    """Rows ``v[starts[i] : starts[i] + width]`` of a 1D array.
+    """Rows ``v[starts[i] : starts[i] + width]`` of a 1D C-contiguous array.
 
-    A strided view when the starts step uniformly (every lattice of rows
-    and delays the transforms build), a gathered copy otherwise.
+    When the starts step uniformly (every lattice of rows and delays the
+    transforms build), a read-only view of ``v`` whose row stride is the
+    step, built directly (numpy checks it lies inside ``v``); a gathered
+    copy otherwise.
     """
-    win = np.lib.stride_tricks.sliding_window_view(v, width)
     m = starts.size
-    step = int(starts[1] - starts[0]) if m > 1 else 1
-    if not np.array_equal(starts, starts[0] + step * np.arange(m)):
-        return win[starts]
-    if step == 0:
-        return np.broadcast_to(win[starts[0]], (m, width))
-    return win[starts[0] :: step][:m]
+    step = int(starts[1] - starts[0]) if m > 1 else 0
+    if np.any(starts[1:] - starts[:-1] != step):
+        return np.lib.stride_tricks.sliding_window_view(v, width)[starts]
+    size = v.itemsize
+    win = np.ndarray((m, width), v.dtype, v, int(starts[0]) * size, (step * size, size))
+    win.flags.writeable = False
+    return win
 
 
 def _lag_products(a: np.ndarray, b: np.ndarray, a_starts, b_starts, width: int,
@@ -271,12 +287,12 @@ def _zero_pad(v: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _shifted_products(a: np.ndarray, E: np.ndarray, steps,
+def _shifted_products(a: np.ndarray, padded: np.ndarray, steps,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``a(t) * E(t - s*dt)`` with zero fill outside the grid."""
-    n = E.size
-    return _lag_products(a, _zero_pad(E, n - 1), np.zeros_like(steps), n - 1 - steps, n,
-                         out=out)
+    """Rows ``a(t) * E(t - s*dt)`` with zero fill outside the grid, from
+    ``padded = _zero_pad(E, n - 1)``, which a blocked caller makes once."""
+    n = a.size
+    return _lag_products(a, padded, np.zeros_like(steps), n - 1 - steps, n, out=out)
 
 
 def row_blocks(nrows: int, width: int):
@@ -328,6 +344,16 @@ def _each_block(nrows: int, width: int, body) -> list:
     return [x for r in results for x in r]
 
 
+def _peak(v: np.ndarray, signed: bool) -> float:
+    """``max v``, or ``max |v|`` as ``max(max v, -min v)`` so no temporary is made."""
+    return max(float(v.max()), -float(v.min())) if signed else float(v.max())
+
+
+def _check_rows(name: str, v: np.ndarray, rule: str):
+    """The :func:`check_array` ``rule`` over the row blocks of map ``v``, on the row runs."""
+    _each_block(*v.shape, lambda lo, hi, buf: check_array(name, v[lo:hi], v.dtype, rule=rule))
+
+
 def _shift_pairs(m: int):
     """``(source, destination)`` column slices of an fftshift of even length m."""
     h = m // 2
@@ -355,11 +381,12 @@ def shg_frog(field: ComplexField, tau_axis) -> Spectrogram:
     steps = g.delay_steps(tau_axis)
     n = g.n
     E = field.samples
+    padded = _zero_pad(E, n - 1)
     vals = _map_empty((steps.size, n), np.float64)
 
     def block(lo, hi, buf):
-        rows = np.fft.ifft(_shifted_products(E, E, steps[lo:hi], out=buf), axis=1, out=buf)
-        rows *= n
+        rows = np.fft.ifft(_shifted_products(E, padded, steps[lo:hi], out=buf), axis=1,
+                           out=buf, norm="forward")
         for src, dst in _shift_pairs(n):
             v = vals[lo:hi, dst]
             np.square(rows.real[:, src], out=v)
@@ -383,7 +410,7 @@ def quadrature_oracle_frog(field: ComplexField, tau_axis, omega_axis) -> Spectro
     g = field.grid
     steps = g.delay_steps(tau_axis)
     w = check_axis("omega_axis", omega_axis)
-    P = _shifted_products(field.samples, field.samples, steps)
+    P = _shifted_products(field.samples, _zero_pad(field.samples, g.n - 1), steps)
     kernel = np.exp(1j * np.outer(g.times(), w))
     amps = g.dt * (P @ kernel)
     return Spectrogram.normalized(steps * g.dt, w, amps.real**2 + amps.imag**2)
@@ -447,14 +474,11 @@ def _wigner_rows(pairs, lo: int, out: np.ndarray, dt: float) -> float:
 
     def block(a, b, buf):
         _wigner_lags(pairs, lo + a, lo + b, buf)
-        S = np.fft.ifft(buf, axis=1, out=buf)
-        S *= width
+        S = np.fft.ifft(buf, axis=1, out=buf, norm="forward")
         S *= dt / math.pi
         for src, dst in _shift_pairs(width):
             out[a:b, dst] = S.real[:, src]
-        # max |x| as max(max x, -min x), so no temporary is made
-        return (max(float(S.imag.max()), -float(S.imag.min())),
-                max(float(out[a:b].max()), -float(out[a:b].min())))
+        return _peak(S.imag, True), _peak(out[a:b], True)
 
     imags, peaks = zip(*_each_block(nrows, width, block))
     max_imag, peak = max(0.0, *imags), max(0.0, *peaks)
@@ -547,6 +571,7 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis) -> OverlapMap:
     E = field.samples
     Ec = np.conj(E)
     n = g.n
+    padded = _zero_pad(E, n - 1)
     w = g.ang_freqs()
     j = np.rint((dnus - w[0]) / g.dw).astype(int)
     aligned = (
@@ -560,10 +585,9 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis) -> OverlapMap:
     vals = _map_empty((steps.size, dnus.size), np.complex128)
 
     def block(lo, hi, buf):
-        rows = _shifted_products(Ec, E, steps[lo:hi], out=buf)
+        rows = _shifted_products(Ec, padded, steps[lo:hi], out=buf)
         if aligned:
-            np.fft.ifft(rows, axis=1, out=rows)
-            rows *= n
+            np.fft.ifft(rows, axis=1, out=rows, norm="forward")
             np.multiply(np.take(rows, cols, axis=1), phase, out=vals[lo:hi])
         else:
             np.matmul(rows, kernel, out=vals[lo:hi])
@@ -574,8 +598,9 @@ def overlap_map(field: ComplexField, dt_axis, dnu_axis) -> OverlapMap:
     return OverlapMap(dts, dnus, vals)
 
 
-def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray) -> np.ndarray:
-    """|W(tau/2, omega/2)|^2, unnormalized, on the spectrogram's (tau, omega) grid.
+def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray):
+    """|W(tau/2, omega/2)|^2, unnormalized, on the spectrogram's (tau, omega) grid,
+    and its peak.
 
     Only the Wigner nodes the pattern reads are evaluated: the q rows at
     tau/2 (plus the next row where t_start is off the sample lattice and
@@ -603,7 +628,9 @@ def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray) -> np.ndarra
     if np.any(blend):
         f = frac[blend, None]
         rows[blend] = (1.0 - f) * rows[blend] + f * sub[h1[blend] - lo]
-    return np.square(rows, out=rows)
+    peaks = _each_block(*rows.shape,
+                        lambda a, b, buf: _peak(np.square(rows[a:b], out=rows[a:b]), False))
+    return rows, max(peaks)
 
 
 def correspondence_residual(field: ComplexField) -> float:
@@ -627,9 +654,8 @@ def correspondence_maps(field: ComplexField):
     g = field.grid
     frog = shg_frog(field, g.delay_axis((g.n // 2 - 1) * g.dt))
     pattern = Spectrogram.normalized(frog.tau_axis, frog.omega_axis,
-                                     _half_coordinate_pattern(field, frog.tau_axis))
-    residual = max(  # by row blocks, so no map-sized difference is built
-        float(np.max(np.abs(frog.values[lo:hi] - pattern.values[lo:hi])))
-        for lo, hi in row_blocks(*pattern.values.shape)
-    )
+                                     *_half_coordinate_pattern(field, frog.tau_axis))
+    residual = max(_each_block(  # by row blocks, so no map-sized difference is built
+        *pattern.values.shape,
+        lambda lo, hi, buf: float(np.max(np.abs(frog.values[lo:hi] - pattern.values[lo:hi])))))
     return frog, pattern, residual

@@ -85,6 +85,16 @@ def test_criterion_1_squared_map_correspondence():
     )
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.0, 2.5), st.floats(2.0, 5.0), st.floats(0.2, 0.35))
+def test_criterion_1_holds_on_random_compass_states(t0, omega0_over_pi, sigma):
+    # the kernel benchmark's symmetric compass draws (perfbench/inputs.py) on its smallest
+    # grid, where t0 + 7.5 sigma stays inside +-5.12 ps and the spectrum inside half-Nyquist
+    g = make_grid(512, 0.02, -5.12)
+    f = compass_state(g, CompassSpec(t0, np.pi * omega0_over_pi, sigma))
+    assert correspondence_residual(f) <= 1e-6
+
+
 def test_criterion_2_sub_fourier_crossing():
     start = time.perf_counter()
     series = sweep_separation(CompassSpec(2.0, OMEGA0, SIGMA), T0_POINTS)

@@ -83,6 +83,14 @@ def loop_frog_values(field, taus):
     return vals / peak if peak > 0 else vals
 
 
+def scaled_subnormals(a, E, steps):
+    """Nonzero values below the normal range in the 1/n-scaled inverse FFT of the
+    lag-product rows: the values where ``n * ifft`` and ``ifft(norm="forward")`` differ."""
+    S = np.fft.ifft(loop_shifted_products(a, E, steps), axis=1)
+    return sum(np.count_nonzero((x != 0) & (np.abs(x) < np.finfo(float).tiny))
+               for x in (S.real, S.imag))
+
+
 def half_coordinate_pattern(field, W, taus):
     """|W(tau/2, omega/2)|^2 read off a full Wigner map, peak normalized."""
     g = field.grid
@@ -126,11 +134,18 @@ def chirped_512():
     return chirped_gaussian(g, 1 / np.sqrt(2), 1.0)
 
 
+def compass_2048():
+    """A kernel-range compass state whose far-delay FFT rows reach the subnormal range."""
+    g = make_grid(2048, 0.02, -20.48)
+    return compass_state(g, CompassSpec(1.8, 3.5 * np.pi, 0.27))
+
+
 STATES = {
     "figure4": figure4_field,
     "n16": band_limited_16,
     "chirped": chirped_512,
 }
+FROG_STATES = {**STATES, "compass2048": compass_2048}  # no n=2048 index-gather Wigner
 
 
 def corr_taus(field):
@@ -147,10 +162,12 @@ def test_wigner_bitwise_equals_index_gather(state):
     assert np.array_equal(wigner(f).values, gather_wigner_values(f))
 
 
-@pytest.mark.parametrize("state", sorted(STATES))
+@pytest.mark.parametrize("state", sorted(FROG_STATES))
 def test_frog_bitwise_equals_loop_products(state):
-    f = STATES[state]()
+    f = FROG_STATES[state]()
     taus = corr_taus(f)
+    steps = f.grid.delay_steps(taus)
+    assert (scaled_subnormals(f.samples, f.samples, steps) > 0) == (state == "compass2048")
     assert np.array_equal(shg_frog(f, taus).values, loop_frog_values(f, taus))
 
 
@@ -168,17 +185,41 @@ def test_frog_bitwise_on_strided_delays():
 
 
 def test_overlap_unsorted_irregular_shifts_match_loop_products():
-    f = figure4_field()
-    g = f.grid
-    steps = np.array([7, -3, 0, 12, -20, 1])
-    w = g.ang_freqs()
-    P = loop_shifted_products(np.conj(f.samples), f.samples, steps)
-    order = np.argsort(steps)
-    e0 = np.sum(np.abs(f.samples) ** 2) * g.dt
-    for dnus in (w[[300, 40, 260, 256]], np.array([0.7, -1.3, 2.05])):
-        ref = g.dt * (P @ np.exp(1j * np.outer(g.times(), dnus))) / e0
-        om = overlap_map(f, g.dt * steps, dnus)
-        npt.assert_allclose(om.values, ref[np.ix_(order, np.argsort(dnus))], rtol=0, atol=1e-12)
+    # the n=2048 state's far delays 900 and -730 have subnormal 1/n-scaled FFT values
+    for f, steps, subnormal in ((figure4_field(), [7, -3, 0, 12, -20, 1], False),
+                                (compass_2048(), [7, -3, 900, 0, 12, -730, -20, 1], True)):
+        g = f.grid
+        steps = np.array(steps)
+        assert (scaled_subnormals(np.conj(f.samples), f.samples, steps) > 0) == subnormal
+        w = g.ang_freqs()
+        P = loop_shifted_products(np.conj(f.samples), f.samples, steps)
+        order = np.argsort(steps)
+        e0 = np.sum(np.abs(f.samples) ** 2) * g.dt
+        for dnus in (w[[300, 40, 260, 256]], np.array([0.7, -1.3, 2.05])):
+            ref = g.dt * (P @ np.exp(1j * np.outer(g.times(), dnus))) / e0
+            om = overlap_map(f, g.dt * steps, dnus)
+            npt.assert_allclose(om.values, ref[np.ix_(order, np.argsort(dnus))],
+                                rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float64, np.complex128]), st.integers(1, 40), st.data())
+def test_windows_equal_the_sliding_window_rows(dtype, size, data):
+    width = data.draw(st.integers(1, size))
+    last = size - width  # the last start at which a window fits
+    v = (np.arange(size) * 1.5 - 7).astype(dtype)
+    if data.draw(st.booleans()):  # uniform starts: positive, negative or zero step
+        first = data.draw(st.integers(0, last))
+        step = data.draw(st.integers(-first, last - first))
+        room = (last - first) // step if step > 0 else first // -step if step < 0 else 9
+        starts = first + step * np.arange(data.draw(st.integers(1, room + 1)))
+    else:  # irregular starts, possibly one
+        starts = np.array(data.draw(st.lists(st.integers(0, last), min_size=1, max_size=12)))
+    got = transforms._windows(v, width, starts)
+    ref = np.lib.stride_tricks.sliding_window_view(v, width)[starts]
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    if starts.size == 1 or np.all(np.diff(starts) == starts[1] - starts[0]):
+        assert np.shares_memory(got, v) and not got.flags.writeable
 
 
 # --------------------------------------------------- node-subset correspondence

@@ -11,10 +11,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chronomap import CompassSpec, ComputeError, compass_state, make_grid
+from chronomap import CompassSpec, ComputeError, ConfigError, compass_state, make_grid
 from chronomap import transforms
 from chronomap.fieldcore import spectral_support
-from chronomap.transforms import correspondence_maps, overlap_map, shg_frog, wigner
+from chronomap.transforms import (
+    OverlapMap,
+    Spectrogram,
+    WignerMap,
+    correspondence_maps,
+    overlap_map,
+    shg_frog,
+    wigner,
+)
 
 
 @st.composite
@@ -133,3 +141,23 @@ def test_the_imaginary_residue_check_reads_every_run(monkeypatch, cpus):
     monkeypatch.setattr(transforms, "_wigner_lags", skewed)
     with pytest.raises(ComputeError, match="imaginary residue"):
         on_runs(cpus, lambda: wigner(wigner_state()))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("cls, dtype, bad, text", [
+    (Spectrogram, float, np.nan, "spectrogram values must be finite and non-negative"),
+    (Spectrogram, float, -1.0, "spectrogram values must be finite and non-negative"),
+    (WignerMap, float, np.nan, "wigner values must be finite"),
+    (OverlapMap, complex, complex(1.0, np.nan), "overlap values must be finite"),
+], ids=["spectrogram-nan", "spectrogram-negative", "wigner-nan", "overlap-nan"])
+def test_map_checks_refuse_a_bad_value_in_the_last_block(monkeypatch, cpus, cls, dtype, bad,
+                                                         text):
+    # rows of 16 cells and blocks of one row: 9 blocks, the bad value in the last one
+    monkeypatch.setattr(transforms, "BLOCK_CELLS", 16)
+    values = np.ones((9, 16), dtype)
+    values[8, 11] = bad
+    axes = (np.linspace(-1, 1, 9), np.linspace(-2, 2, 16))
+    make = (lambda: cls(*axes, values)) if cls is OverlapMap else lambda: cls(*axes, values, 1.0)
+    with pytest.raises(ConfigError) as caught:
+        on_runs(cpus, make)
+    assert str(caught.value) == text
