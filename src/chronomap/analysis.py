@@ -21,7 +21,8 @@ from .errors import (
     check_real,
 )
 from .fieldcore import CompassSpec, SampleGrid, compass_state
-from .transforms import TimeFrequencyMap, WignerMap, check_axis, row_blocks, shg_frog
+from .transforms import (TimeFrequencyMap, WignerMap, check_axis, row_blocks, row_fraction,
+                         shg_frog)
 
 SUB_FOURIER_LIMIT = 0.5
 
@@ -150,8 +151,8 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
         the converse.
     fixed_value : float
         Held coordinate. Values between grid lines interpolate linearly
-        between the two nearest lines; a value on a grid line extracts
-        that row or column exactly.
+        between the two nearest lines; one within 1e-9 of a step of a line
+        (``transforms.row_fraction``) extracts that row or column exactly.
     """
     if not isinstance(m, TimeFrequencyMap):
         raise ConfigError(f"cannot take cross-sections of {type(m).__name__}")
@@ -172,14 +173,8 @@ def cross_section(m, axis_choice: str, fixed_value: float) -> CrossSection:
         )
     # a held axis of one line holds the only value in range: that line is returned
     pos = (v - held_axis[0]) / (held_axis[1] - held_axis[0]) if held_axis.size > 1 else 0.0
-    j = max(0, min(int(np.floor(pos)), held_axis.size - 2))
-    frac = pos - j
-    if frac < 1e-9:
-        values = lines[j]
-    elif frac > 1 - 1e-9:
-        values = lines[j + 1]
-    else:
-        values = (1 - frac) * lines[j] + frac * lines[j + 1]
+    j, frac = row_fraction(min(pos, held_axis.size - 1))
+    values = lines[j] if frac == 0 else (1 - frac) * lines[j] + frac * lines[j + 1]
     return CrossSection(run_axis, values, "signed" if m.signed else "intensity", (held_name, v))
 
 

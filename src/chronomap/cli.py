@@ -225,7 +225,8 @@ def _write_sweep(series, path, json_path=None, stamp=False):
         dataio.save_report(series, json_path)
 
 
-def state_options(default_n=RunConfig.n):
+def state_options(default_n=RunConfig.n, oracle=False):
+    """The options that build a state; ``oracle`` adds ``--oracle``, for a quadrature route."""
     decorators = [
         click.option("--state", type=click.Choice(STATES), default=RunConfig.state,
                      show_default=True, help="Pulse family to synthesize."),
@@ -248,8 +249,9 @@ def state_options(default_n=RunConfig.n):
                      help="Four lobe phases in rad."),
         click.option("--chirp", default=RunConfig.chirp, show_default=True,
                      help="Chirp rate for --state chirped."),
-        click.option("--oracle", is_flag=True,
-                     help="Force the slow quadrature route instead of FFTs."),
+        *([click.option("--oracle", is_flag=True,
+                        help="Force the slow quadrature route instead of FFTs.")]
+          if oracle else []),
         click.option("--dry-run", is_flag=True,
                      help="Validate the full configuration, skip compute."),
     ]
@@ -335,7 +337,7 @@ def simulate(out_path, dry_run, **kw):
 
 
 @main.command()
-@state_options()
+@state_options(oracle=True)
 @click.option("--tau-span", default=None, type=float,
               help="Half-span of the delay axis in ps.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
@@ -357,7 +359,7 @@ def frog(out_path, pgm_path, tau_span, dry_run, **kw):
 
 
 @main.command(name="wigner")
-@state_options()
+@state_options(oracle=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--pgm", "pgm_path", default=None, type=click.Path(dir_okay=False))
 @_guarded

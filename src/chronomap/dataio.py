@@ -29,7 +29,7 @@ from .analysis import SUB_FOURIER_LIMIT, CellAreaReport, CrossSection, SweepPoin
 from .errors import (ARRAY_RULES, CalibrationError, ConfigError, DataError, FormatError,
                      ParseError, check_array, check_real)
 from .fieldcore import ComplexField, SampleGrid
-from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, row_blocks
+from .transforms import Spectrogram, TimeFrequencyMap, WignerMap, row_blocks, row_runs
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 SPEED_OF_LIGHT_NM_PER_PS = 299792.458
@@ -38,11 +38,6 @@ MAP_MAGIC = "CHRONO-MAP v1"
 FIELD_MAGIC = "CHRONO-FIELD v1"
 
 _MAP_TYPES = {cls.kind: cls for cls in (Spectrogram, WignerMap)}
-
-# Maps of this many cells or more are written and read by two processes: a
-# fork and join costs ~5 ms, a value 1.3 us to format and ~0.25 us to parse in
-# bulk, so at the cutoff a split read gains ~3 ms, and only on a free core.
-SPLIT_CELLS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -451,12 +446,14 @@ def _format_row(values):
     return " ".join(map(repr, np.asarray(values, float).tolist()))
 
 
-def _splits(cells):
-    return cells >= SPLIT_CELLS and hasattr(os, "fork")
+def _splits(shape):
+    return hasattr(os, "fork") and len(row_runs(*shape)) > 1
 
 
-def _fork_rows(n, cells, work):
-    """Run ``work(0, n)``; from ``SPLIT_CELLS`` cells on, on two processes.
+def _fork_rows(n, split, work):
+    """Run ``work(0, n)``; on two processes if ``split``, which ``_splits`` gives
+    for a map whose rows ``transforms.row_runs`` splits into two runs or more,
+    so a one-CPU set (``taskset``) or a one-block map never forks.
 
     A forked child runs ``work(k, n)``, ``k = n // 2``, while this process
     runs ``work(0, k)``. If the child fails, its rows are redone here, so
@@ -467,7 +464,7 @@ def _fork_rows(n, cells, work):
     text into shared pages: it imports nothing, calls no BLAS and takes no
     lock, so forking while BLAS threads run (Python 3.12 warns) is safe.
     """
-    if n < 2 or not _splits(cells):
+    if not split:
         work(0, n)
         return False
     k = n // 2
@@ -540,7 +537,7 @@ def save_map(m, path, format: str = "native"):
                     out.write(_format_row(row) + "\n")
 
         try:
-            if _fork_rows(len(m.values), m.values.size, write_rows):
+            if _fork_rows(len(m.values), _splits(m.values.shape), write_rows):
                 fh.flush()
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
@@ -596,10 +593,11 @@ def load_map(path):
             f"{path}: expected {ax1.size} value rows, found {len(rows)} (truncated?)"
         )
     values = np.empty((ax1.size, ax2.size))
-    if _splits(values.size):  # the forked child parses into shared pages
+    split = _splits(values.shape)  # decided once: a forked child parses into shared pages
+    if split:
         buf = mmap.mmap(-1, values.nbytes, flags=mmap.MAP_SHARED)
         values = np.frombuffer(buf).reshape(values.shape)
-    _fork_rows(len(rows), values.size, lambda lo, hi: _float_rows(
+    _fork_rows(len(rows), split, lambda lo, hi: _float_rows(
         path, rows[lo:hi], values[lo:hi], f"expected {ax2.size} values per row"))
     return _built(_MAP_TYPES[kind], FormatError, path, ax1, ax2, values, scale)
 

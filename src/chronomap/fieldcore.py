@@ -24,23 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapingError, SynthesisError, check_array, check_real
 
-__all__ = [
-    "SampleGrid",
-    "ComplexField",
-    "PulseSpec",
-    "CompassSpec",
-    "ShaperMask",
-    "make_grid",
-    "energy",
-    "spectrum",
-    "field_from_spectrum",
-    "upsample2",
-    "gaussian_pulse",
-    "chirped_gaussian",
-    "compass_state",
-    "apply_shaper",
-]
-
 # Relative band-edge level below which a field counts as negligible when
 # checking sampling headroom for nonlinear products.
 SUPPORT_FLOOR = 1e-10

@@ -50,9 +50,11 @@ One driver, :func:`_each_block`, runs every map-sized pass: the FROG,
 Wigner and overlap block loops, the peak search and in-place division of
 :meth:`TimeFrequencyMap.normalized`, the value rule of every map
 constructor (``check_array``'s rule on each row block), the squaring of
-the correspondence pattern and the correspondence residual. It splits
-the row blocks into one contiguous run per CPU of the process's CPU set
-(``os.sched_getaffinity``; limit it with ``taskset``) and runs each run
+the correspondence pattern and the correspondence residual. One
+partition, :func:`row_runs`, splits the row blocks into one contiguous
+run per CPU of the process's CPU set (``os.sched_getaffinity``; limit it
+with ``taskset``); map text I/O forks a second process on the same
+partition (see ``dataio._fork_rows``). ``_each_block`` runs each run
 on a thread of its own, which pays because numpy releases the GIL inside
 its FFT and ufunc loops. Each run owns one complex block buffer, and the
 FFTs run in place in it. The blocks and their arithmetic are those of
@@ -91,21 +93,6 @@ import numpy as np
 
 from .errors import ComputeError, ConfigError, DomainError, check_array, check_real
 from .fieldcore import ComplexField, energy, spectral_support, spectrum, upsample2
-
-__all__ = [
-    "TimeFrequencyMap",
-    "Spectrogram",
-    "WignerMap",
-    "OverlapMap",
-    "shg_frog",
-    "quadrature_oracle_frog",
-    "wigner",
-    "quadrature_oracle_wigner",
-    "overlap_map",
-    "correspondence_residual",
-    "check_sampling",
-    "check_axis",
-]
 
 # Imaginary residue above this fraction of the map peak means the Wigner
 # evaluation went numerically wrong rather than just accumulating roundoff.
@@ -296,8 +283,9 @@ def _shifted_products(a: np.ndarray, padded: np.ndarray, steps,
 
 
 def row_blocks(nrows: int, width: int):
-    """``(lo, hi)`` row ranges of about ``BLOCK_CELLS`` cells each, largest first."""
-    step = max(1, BLOCK_CELLS // width)
+    """``(lo, hi)`` row ranges of about ``BLOCK_CELLS`` cells each (rows of no
+    cells count as one), largest first."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
     return [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
 
 
@@ -308,20 +296,25 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def row_runs(nrows: int, width: int) -> list:
+    """The blocks of :func:`row_blocks` split into one contiguous run per
+    usable CPU (at most one per block), as a list of runs of blocks."""
+    blocks = row_blocks(nrows, width)
+    k = min(_cpus(), len(blocks))
+    return [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
+
+
 def _each_block(nrows: int, width: int, body) -> list:
     """``body(lo, hi, buf)`` over the row blocks of an ``nrows x width`` map.
 
-    The blocks of :func:`row_blocks` are split into one contiguous run
-    per usable CPU (at most one per block); each run owns a complex
-    ``buf`` of its largest block, sliced to ``hi - lo`` rows. Run 0 goes
-    on the calling thread, the others on threads of their own, all joined
-    before this returns; an exception raised in a run is raised again
-    here. Returns the body's results in block order.
+    Each run of :func:`row_runs` owns a complex ``buf`` of its largest
+    block, sliced to ``hi - lo`` rows. Run 0 goes on the calling thread,
+    the others on threads of their own, all joined before this returns;
+    an exception raised in a run is raised again here. Returns the
+    body's results in block order.
     """
-    blocks = row_blocks(nrows, width)
-    k = min(_cpus(), len(blocks))
-    runs = [blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k] for i in range(k)]
-    results = [None] * k
+    runs = row_runs(nrows, width)
+    results = [None] * len(runs)
 
     def run(i):
         try:
@@ -330,7 +323,7 @@ def _each_block(nrows: int, width: int, body) -> list:
         except Exception as exc:  # raised again on the calling thread
             results[i] = exc
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(runs))]
     for t in threads:
         t.start()
     try:
@@ -342,6 +335,16 @@ def _each_block(nrows: int, width: int, body) -> list:
         if isinstance(r, Exception):
             raise r
     return [x for r in results for x in r]
+
+
+def row_fraction(pos):
+    """``(row, fraction)`` of fractional row positions ``pos``: ``floor(pos)`` and
+    the rest, except that a position within 1e-9 of a row, on either side,
+    reads as that row with fraction 0."""
+    row = np.floor(pos)
+    frac = pos - row
+    up = frac > 1 - 1e-9
+    return (row + up).astype(int), np.where(up | (frac < 1e-9), 0.0, frac)
 
 
 def _peak(v: np.ndarray, signed: bool) -> float:
@@ -603,18 +606,16 @@ def _half_coordinate_pattern(field: ComplexField, taus: np.ndarray):
     and its peak.
 
     Only the Wigner nodes the pattern reads are evaluated: the q rows at
-    tau/2 (plus the next row where t_start is off the sample lattice and
-    tau/2 falls between rows) and the even p columns, where omega/2
-    lies. Those columns are the n-point transform of the lag rows folded
-    mod n. The imaginary residue is checked over these nodes, relative
-    to their peak.
+    tau/2 (plus the next row where t_start is off the half-sample lattice
+    and tau/2 falls between rows, as :func:`row_fraction` reads them) and
+    the even p columns, where omega/2 lies. Those columns are the n-point
+    transform of the lag rows folded mod n. The imaginary residue is
+    checked over these nodes, relative to their peak.
     """
     g = field.grid
     n = g.n
-    hf = taus / g.dt - 2.0 * g.t_start / g.dt
-    h0 = np.floor(hf).astype(int)
-    frac = hf - h0
-    exact = np.abs(frac) < 1e-9
+    h0, frac = row_fraction(taus / g.dt - 2.0 * g.t_start / g.dt)
+    exact = frac == 0
     h0 = np.clip(h0, 0, 2 * n - 1)
     h1 = np.clip(h0 + 1, 0, 2 * n - 1)
     lo = int(h0.min())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from chronomap import (
     Calibration,
     CompassSpec,
+    ComplexField,
     PulseSpec,
     SPEED_OF_LIGHT_NM_PER_PS,
     ShaperMask,
@@ -168,6 +169,27 @@ def test_criterion_4_orthogonalizing_shifts():
     )
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.0, 2.5), st.floats(2.5, 4.0))
+def test_criterion_4_half_spacing_overlaps_meet_their_closed_forms(t0, omega0_over_pi):
+    # on criterion 4's grid; the closed forms drop the cross-lobe terms, of order
+    # exp(-t0^2 / sigma^2) <= 1.2e-7, and hold between the criterion's four separations,
+    # where |overlap| itself can pass 1e-3 (the carrier cross term exp(-(omega0 sigma)^2))
+    omega0 = np.pi * omega0_over_pi
+    dt_star = np.pi / (2 * omega0)
+    dnu_star = np.pi / (2 * t0)
+    g = make_grid(1024, dt_star / 8, -dt_star / 8 * 512)
+    f = compass_state(g, CompassSpec(t0, omega0, SIGMA))
+    carrier = np.exp(-((omega0 * SIGMA) ** 2))
+    d = 1 + carrier * np.cos(2 * omega0 * t0)
+    time_form = abs(np.cos(2 * omega0 * t0)) * np.exp(-dt_star**2 / (4 * SIGMA**2)) * carrier / d
+    freq_form = abs(np.sin(2 * omega0 * t0)) * 0.5 * (
+        np.exp(-((2 * omega0 - dnu_star) ** 2) * SIGMA**2 / 4)
+        - np.exp(-((2 * omega0 + dnu_star) ** 2) * SIGMA**2 / 4)) / d
+    assert abs(abs(overlap_map(f, [dt_star], [0.0]).values[0, 0]) - time_form) <= 1e-6
+    assert abs(abs(overlap_map(f, [0.0], [dnu_star]).values[0, 0]) - freq_form) <= 1e-6
+
+
 def test_criterion_5_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
@@ -258,6 +280,21 @@ def test_criterion_6_holds_on_random_compass_states(n, data):
     wm, marginal = _wigner_and_marginal_deviation(f)
     assert marginal <= 1e-8
     assert wm.scale <= 1 / np.pi + 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.0, 2.0), st.floats(2.0, 5.0), st.floats(0.2, 0.3), st.integers(-25, 25))
+def test_frog_and_wigner_follow_a_time_shift(t0, omega0_over_pi, sigma, k):
+    # a shift by k samples leaves the FROG trace unchanged and moves W by 2k rows of
+    # dt/2; the samples rolled round the grid's ends are below 1e-16 of the peak
+    g = make_grid(512, 0.02, -5.12)
+    f = compass_state(g, CompassSpec(t0, np.pi * omega0_over_pi, sigma))
+    shifted = ComplexField(g, np.roll(f.samples, k))
+    steps = int(round((2 * t0 + 1.0) / g.dt))
+    taus = g.dt * np.arange(-steps, steps + 1)
+    assert np.max(np.abs(shg_frog(shifted, taus).values - shg_frog(f, taus).values)) <= 1e-12
+    rolled = np.roll(wigner(f).values, 2 * k, axis=0)
+    assert np.max(np.abs(wigner(shifted).values - rolled)) <= 1e-12
 
 
 def test_criterion_7_shaper_replicas():

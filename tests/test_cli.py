@@ -122,6 +122,14 @@ def test_frog_oracle_flag_matches_fft_route(tmp_path):
                         atol=1e-9 * ma.scale)
 
 
+@pytest.mark.parametrize("command", ["simulate", "areas", "sweep", "correspond"])
+def test_commands_without_a_quadrature_route_refuse_oracle(tmp_path, command):
+    out = [] if command == "correspond" else ["--out", str(tmp_path / "out")]
+    result = invoke(command, "--oracle", *out)
+    assert result.exit_code == 2
+    assert "No such option" in all_text(result) and "--oracle" in all_text(result)
+
+
 def test_wigner_command(tmp_path):
     out = tmp_path / "w.chronomap"
     result = invoke("wigner", "--n", "256", "--dt", "0.04", "--t0", "1.0",

@@ -97,9 +97,9 @@ def half_coordinate_pattern(field, W, taus):
     n = g.n
     sub = W[:, 0 : 2 * n : 2]
     hf = taus / g.dt - 2.0 * g.t_start / g.dt
-    h0 = np.floor(hf).astype(int)
+    exact = np.abs(hf - np.rint(hf)) < 1e-9  # on a row, from either side
+    h0 = np.where(exact, np.rint(hf), np.floor(hf)).astype(int)
     frac = hf - h0
-    exact = np.abs(frac) < 1e-9
     h0 = np.clip(h0, 0, 2 * n - 1)
     h1 = np.clip(h0 + 1, 0, 2 * n - 1)
     rows = np.where(exact[:, None], sub[h0],
@@ -232,19 +232,35 @@ def correspondence_states():
         "compass": compass_state(g, CompassSpec(2.0, 2.0 * np.pi, SIGMA)),
         "chirped": chirped_gaussian(g, 1 / np.sqrt(2), 1.0),
         "off_lattice": compass_state(off, CompassSpec(2.0, 2.0 * np.pi, SIGMA)),
+        # off centre, with every tau/2 on a q row but some a few ulp below it
+        **{f"off_centre_{-t:g}": compass_state(make_grid(512, 0.02, t),
+                                               CompassSpec(2.0, 2.0 * np.pi, SIGMA))
+           for t in (-5.0, -5.11)},
     }
 
 
-@pytest.mark.parametrize("state", ["compass", "chirped", "off_lattice"])
-def test_node_subset_pattern_matches_full_wigner(state):
+@pytest.mark.parametrize("state", ["compass", "chirped", "off_lattice", "off_centre_5",
+                                   "off_centre_5.11"])
+def test_node_subset_pattern_matches_full_wigner(monkeypatch, state):
     f = correspondence_states()[state]
+    made = []  # the maps allocated; rows read exactly are used in place, not gathered
+    real_empty = transforms._map_empty
+
+    def map_empty(*args):
+        made.append(real_empty(*args))
+        return made[-1]
+
+    monkeypatch.setattr(transforms, "_map_empty", map_empty)
     frog, pattern, residual = correspondence_maps(f)
     full = half_coordinate_pattern(f, wigner(f).values, frog.tau_axis)
     assert np.max(np.abs(pattern.values - full)) <= 1e-12
     assert residual == np.max(np.abs(frog.values - pattern.values))
     hf = frog.tau_axis / f.grid.dt - 2.0 * f.grid.t_start / f.grid.dt
-    between_rows = np.abs(hf - np.floor(hf)) >= 1e-9
+    between_rows = np.abs(hf - np.rint(hf)) >= 1e-9
     assert np.all(between_rows) if state == "off_lattice" else not np.any(between_rows)
+    assert np.all(transforms.row_fraction(hf)[1] != 0) == (state == "off_lattice")
+    in_place = any(np.shares_memory(pattern.values, a) for a in made)
+    assert in_place == (state != "off_lattice")
 
 
 def test_correspondence_checks_imaginary_residue_on_nodes(monkeypatch):

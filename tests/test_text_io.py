@@ -8,6 +8,8 @@ import math
 import mmap
 import os
 import re
+import subprocess
+import sys
 import time
 import types
 import warnings
@@ -42,6 +44,7 @@ from chronomap import (
     save_report,
     shg_frog,
     sweep_separation,
+    transforms,
 )
 
 OMEGA0 = np.pi * 3.3
@@ -998,12 +1001,13 @@ def test_write_errors_name_the_target_path(tmp_path, outputs):
 
 # ------------------------------------------------ two-process map I/O
 #
-# SPLIT_CELLS is patched down so that small maps take the forked path,
-# or up to infinity so that the same call stays serial.
+# The row partition is patched so that small maps take the forked path (one
+# cell per block, two CPUs), or so that the same call stays serial (one CPU).
 
 
 def _cutoff(monkeypatch, cells):
-    """Set the split cutoff; return the list of forks made from now on."""
+    """Split maps of ``cells`` (1) or more cells, or none (``math.inf``), by
+    patching the row partition; return the list of forks made from now on."""
     forks = []
     real_fork = os.fork
 
@@ -1011,7 +1015,8 @@ def _cutoff(monkeypatch, cells):
         forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(dataio, "SPLIT_CELLS", cells)
+    monkeypatch.setattr(transforms, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(transforms, "_cpus", lambda: 2 if cells == 1 else 1)
     monkeypatch.setattr(os, "fork", fork)
     return forks
 
@@ -1058,7 +1063,7 @@ def test_split_map_io_gives_the_serial_bytes(tmp_path, monkeypatch, rows, cols, 
         back = load_map(str(p))
         assert np.array_equal(back.values, m.values)
         assert np.array_equal(np.signbit(back.values), np.signbit(m.values))
-        assert _on_shared_pages(back.values) == (cells == 1)
+        assert _on_shared_pages(back.values) == (cells == 1 and rows > 1)
         assert len(forks) == (2 if cells == 1 and rows > 1 else 0)
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
@@ -1154,11 +1159,49 @@ def test_split_parent_interrupted_kills_the_child(tmp_path, monkeypatch, outputs
     _assert_no_children()
 
 
+_ONE_CPU_COPY = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def fork():
+    raise AssertionError("map I/O forked on one CPU")
+
+
+os.fork = fork
+from chronomap import load_map, save_map
+save_map(load_map(sys.argv[1]), sys.argv[2])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a CPU set of two or more to pin one")
+def test_map_io_on_one_cpu_never_forks_and_writes_the_split_bytes(tmp_path, monkeypatch):
+    # 2048 x 64 values make two row blocks, which two CPUs split between two processes
+    m = WignerMap(0.5 * np.arange(2048), 0.25 * np.arange(64),
+                  np.random.default_rng(7).normal(size=(2048, 64)), 1.5)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    split = tmp_path / "split.chronomap"
+    save_map(m, str(split))
+    assert len(forks) == 1
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    one = tmp_path / "one.chronomap"  # loaded and saved again under one CPU
+    out = subprocess.run([sys.executable, "-c", _ONE_CPU_COPY, str(split), str(one)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert one.read_bytes() == split.read_bytes()
+
+
 def test_map_io_without_fork_stays_serial(tmp_path, monkeypatch, outputs):
     p = tmp_path / "m.chronomap"
     save_map(outputs.map, str(p))
     serial = p.read_bytes()
-    monkeypatch.setattr(dataio, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(transforms, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(transforms, "_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     save_map(outputs.map, str(p))
     assert p.read_bytes() == serial

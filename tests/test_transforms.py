@@ -28,6 +28,7 @@ from chronomap.transforms import (
     overlap_map,
     quadrature_oracle_frog,
     quadrature_oracle_wigner,
+    row_fraction,
     shg_frog,
     wigner,
 )
@@ -301,6 +302,16 @@ def test_wigner_time_shift_covariance():
     rolled = np.zeros_like(a.values)
     rolled[2 * m :, :] = a.values[: -2 * m, :]  # q step is dt/2
     assert np.max(np.abs(b.values - rolled)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 2047])
+def test_row_fraction_snaps_to_a_row_from_either_side(k):
+    rows, fracs = row_fraction(np.array([k - 1e-12, k + 1e-12, k + 0.25]))
+    assert rows.tolist() == [k, k, k] and fracs.tolist() == [0.0, 0.0, 0.25]
+    for pos, frac in ((k - 1e-12, 0.0), (k + 1e-12, 0.0), (k + 0.25, 0.25)):
+        for x in (pos, np.array(pos)):  # a float and a 0-d array
+            row, got = row_fraction(x)
+            assert (int(row), float(got)) == (k, frac)
 
 
 def test_wigner_zero_field():
